@@ -32,7 +32,9 @@
 //!   batched tier (and the `Str` plan kept off it); and the
 //!   map-once-per-element invariant — Subtract-on-Evict must re-use
 //!   cached mapped values, never re-run the fused map, so `map_run_rate`
-//!   (map executions / events) stays ≤ 1 up to warmup slack;
+//!   (map executions / events) stays ≤ 1 up to warmup slack, also for the
+//!   YSB-shaped `filtered_count` plan, whose map runs over whole runs of
+//!   entering spans;
 //! * `durability`: the state layer never changes an output event —
 //!   restore-after-crash, cold spill, and live rebalancing each produce
 //!   per-key streams identical to an undisturbed run; the books resume
@@ -320,7 +322,7 @@ fn check_file(file: &Path) -> Outcome {
             // with `fully_typed == false` when a plan leans on the
             // dynamic tier), the batch gate admits exactly the numeric
             // kernels, and fused maps run at most once per element.
-            for plan in ["pointwise", "window_sum"] {
+            for plan in ["pointwise", "window_sum", "filtered_count"] {
                 check.is_true(&format!("plans.{plan}.outputs_identical"));
                 check.is_true(&format!("plans.{plan}.batched_outputs_identical"));
                 check.eq_i64(&format!("plans.{plan}.fallback_ops"), 0);
@@ -344,6 +346,10 @@ fn check_file(file: &Path) -> Outcome {
             // rate ≈ 2. Slack covers window warmup edge effects only.
             check.gt_i64("plans.window_sum.map_runs", 0);
             check.le_f64("plans.window_sum.map_run_rate", 1.05);
+            // The YSB kernel maps each entering run of spans at once: the
+            // filter still runs exactly once per event, never per φ gap.
+            check.gt_i64("plans.filtered_count.map_runs", 0);
+            check.le_f64("plans.filtered_count.map_run_rate", 1.05);
             check.le_f64("plans.str_fallback.map_run_rate", 1.05);
         }
         other => {

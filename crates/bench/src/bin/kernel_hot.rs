@@ -10,6 +10,9 @@
 //!   fused into a strided trailing window sum (4-tick panes, the YSB
 //!   shape) plus a dense per-event combine over the aggregate — typed
 //!   bytecode, typed window maps, and unboxed accumulators together;
+//! * `filtered_count` — the YSB kernel: a filter fused into a tumbling
+//!   `Count` over sparse point events, so each slide enters a long run
+//!   of spans (φ gaps included) through the lane-gated window map;
 //! * `str_fallback` — a `Str`-driven filter, pinning that fallback
 //!   subtrees stay correct *and visible* in the fallback counters (and
 //!   are rejected by the batch gate).
@@ -177,6 +180,24 @@ fn window_sum_plan() -> Query {
     b.finish(out).unwrap()
 }
 
+/// Where → tumbling Count over sparse `Int` point events: the YSB kernel
+/// (views among ad events, per 1024-tick window).
+fn filtered_count_plan() -> Query {
+    let mut b = Query::builder();
+    let ads = b.input("ads", DataType::Int);
+    let views = b.temporal(
+        "views",
+        TDom::every_tick(),
+        Expr::if_else(Expr::at(ads).eq(Expr::c(0i64)), Expr::at(ads), Expr::null()),
+    );
+    let counts = b.temporal(
+        "counts",
+        TDom::unbounded(1024),
+        Expr::reduce_window(ReduceOp::Count, views, 1024),
+    );
+    b.finish(counts).unwrap()
+}
+
 /// A `Str`-driven filter: the typed tier must route the comparison through
 /// its boxed fallback registers.
 fn str_fallback_plan() -> Query {
@@ -202,6 +223,20 @@ fn float_events(n: usize) -> Vec<Event<Value>> {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             let x = (state >> 33) as f64 / (1u64 << 31) as f64;
             Event::point(Time::new(t), Value::Float(x))
+        })
+        .collect()
+}
+
+/// Sparse point events typed 0..3 (view/click/purchase), one to three
+/// ticks apart: every gap between two events is a φ span.
+fn sparse_type_events(n: usize) -> Vec<Event<Value>> {
+    let mut state = 0x2545F4914F6CDD1Du64;
+    let mut t = 0i64;
+    (0..n)
+        .map(|_| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            t += 1 + ((state >> 40) % 3) as i64;
+            Event::point(Time::new(t), Value::Int(((state >> 33) % 3) as i64))
         })
         .collect()
 }
@@ -293,10 +328,12 @@ fn main() {
     let cfg = RunCfg::from_args(400_000);
     let floats = float_events(cfg.events);
     let strs = str_events(cfg.events);
+    let ads = sparse_type_events(cfg.events);
 
     let results = [
         run_plan("pointwise", &pointwise_plan(), &floats, cfg.runs),
         run_plan("window_sum", &window_sum_plan(), &floats, cfg.runs),
+        run_plan("filtered_count", &filtered_count_plan(), &ads, cfg.runs),
         run_plan("str_fallback", &str_fallback_plan(), &strs, cfg.runs),
     ];
 

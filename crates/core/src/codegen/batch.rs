@@ -1,5 +1,5 @@
 //! Batched (third-tier) kernel bodies: each bytecode op runs over a *run*
-//! of grid ticks at once.
+//! of lanes at once.
 //!
 //! The per-tick typed tier already killed boxing, but it still pays one
 //! dispatch (one `match` on [`Instr`]) per instruction per tick. Dense
@@ -10,10 +10,20 @@
 //! and [`BatchCtx::exec`] runs each instruction once over all lanes as a
 //! plain `f64`/`i64` slice loop the compiler auto-vectorizes.
 //!
+//! The same executor runs fused window maps over *spans*: a window slide
+//! hands [`BatchCtx::map_run`] the run of source spans entering the
+//! window (up to [`MAX_BATCH`] of them), which bulk-loads their payloads
+//! into the map's element column ([`load_run`]), executes the map once
+//! over the run at the slide's clock, and returns the mapped lanes with a
+//! word-level "folded" mask for the reduce runner (`super::reduce`). Map
+//! registers are disjoint from body registers, so one [`BatchCtx`] serves
+//! both without saving or restoring columns.
+//!
 //! φ handling is where the batch shape pays twice: per-register lane masks
 //! are word-level [`NullMask`]s, so propagating φ through a binary op is a
-//! couple of `u64` ORs ([`NullMask::set_or`]) and the "any φ in this run?"
-//! test that guards the slow per-lane arms is one branch per 64 lanes
+//! couple of `u64` ORs ([`NullMask::set_or`]), a conditional move combines
+//! whole mask words ([`select_lanes`]), and the "any φ in this run?" test
+//! that guards the slow per-lane arms is one branch per 64 lanes
 //! ([`NullMask::none_null`]).
 //!
 //! Lane-wise semantics are *identical* to the scalar [`exec`] loop — same
@@ -29,11 +39,16 @@
 //! branch-free, def-before-use straight-line bodies whose reduce slots
 //! take the unboxed accumulate path. Everything else transparently runs
 //! the per-tick tier — the gate is a static property of the plan, checked
-//! once at compile time.
+//! once at compile time. Fused maps pass the same gate on their own
+//! ([`FoldMode::lanes`]); a map it rejects runs its scalar bytecode per
+//! lane inside the same run loop.
+//!
+//! [`exec`]: super::compiled::exec
 
-use tilt_data::NullMask;
+use tilt_data::{NullMask, Span, Value};
 
-use super::compiled::{ArithOp, Class, CmpOp, Instr, Reg, TypedCtx, TypedProgram};
+use super::compiled::{ArithOp, Class, CmpOp, Instr, Reg, TypedCtx, TypedMap, TypedProgram};
+use super::reduce::FoldMode;
 
 /// Maximum lanes per batch. 256 keeps all columns of a typical body
 /// (tens of registers) inside L1 while amortizing dispatch ~256×.
@@ -44,33 +59,35 @@ pub(crate) const MAX_BATCH: usize = 256;
 /// register defined before use within a tick, every operand distinct from
 /// its instruction's destination, and every live reduce slot on the
 /// unboxed fold/result path described by `modes` (see
-/// [`super::reduce::typed_fold_class`]).
-pub(crate) fn batchable(tp: &TypedProgram, modes: &[Option<(Class, Class)>]) -> bool {
+/// [`super::reduce::typed_fold_class`]). Also sets each typed slot's
+/// [`FoldMode::lanes`]: whether its fused map passes the same checks
+/// with only the prelude and its element register live.
+pub(crate) fn batchable(tp: &TypedProgram, modes: &mut [Option<FoldMode>]) -> bool {
     if !tp.is_fully_typed() {
         return false;
     }
     for (i, reg) in tp.reduce_regs.iter().enumerate() {
         let Some(reg) = reg else { continue };
-        let Some((fold, res)) = modes.get(i).copied().flatten() else {
+        let Some(mode) = modes.get(i).copied().flatten() else {
             return false;
         };
-        if reg.class != res {
+        if reg.class != mode.res {
             return false;
         }
         match tp.typed_maps.get(i).and_then(|m| m.as_ref()) {
             Some(map) => {
-                if map.fold_class() != Some(fold) {
+                if map.fold_class() != Some(mode.fold) {
                     return false;
                 }
             }
             None => {
-                if tp.reduce_elem.get(i).copied().flatten() != Some(fold) {
+                if tp.reduce_elem.get(i).copied().flatten() != Some(mode.fold) {
                     return false;
                 }
             }
         }
     }
-    body_ok(tp)
+    body_ok(tp, modes)
 }
 
 /// Registers proven initialized at the current body position.
@@ -99,9 +116,11 @@ impl Init {
     }
 }
 
-/// Walks the body in order, proving it straight-line, whitelisted, and
-/// def-before-use with operands distinct from destinations.
-fn body_ok(tp: &TypedProgram) -> bool {
+/// Walks the prelude, then each fused map, then the body in order,
+/// proving them straight-line, whitelisted, and def-before-use with
+/// operands distinct from destinations. A map that fails only clears its
+/// slot's [`FoldMode::lanes`].
+fn body_ok(tp: &TypedProgram, modes: &mut [Option<FoldMode>]) -> bool {
     let mut init = Init {
         f: vec![false; tp.n_f as usize],
         i: vec![false; tp.n_i as usize],
@@ -118,18 +137,24 @@ fn body_ok(tp: &TypedProgram) -> bool {
             _ => return false,
         }
     }
+    // Maps run before the body, from the prelude and their element alone.
+    // Every instruction writes a fresh register, so map registers never
+    // alias the body's or each other's.
+    for (map, mode) in tp.typed_maps.iter().zip(modes.iter_mut()) {
+        if let (Some(map), Some(mode)) = (map, mode) {
+            mode.lanes = map.var.class != Class::V && {
+                init.def(map.var.class, map.var.idx);
+                map.instrs.iter().all(|ins| step(ins, &mut init))
+            };
+        }
+    }
     for r in tp.point_regs.iter().chain(&tp.reduce_regs).flatten() {
         if r.class == Class::V {
             return false;
         }
         init.def(r.class, r.idx);
     }
-    for ins in &tp.instrs {
-        if !step(ins, &mut init) {
-            return false;
-        }
-    }
-    true
+    tp.instrs.iter().all(|ins| step(ins, &mut init))
 }
 
 /// Admits one instruction: reads must be initialized and distinct from the
@@ -292,9 +317,28 @@ fn cmp_lanes_c<T: Copy + PartialOrd>(op: CmpOp, d: &mut [bool], a: &[T], c: T) {
     }
 }
 
-/// The three-way conditional move, lane-wise: φ condition → φ, else copy
-/// the selected branch's value and flag (`None` branch = φ), exactly like
-/// the scalar `Select` arm.
+/// Packs up to 64 flags into a word: bit `j` is `lanes[j]`.
+#[inline]
+fn pack_bools(lanes: &[bool]) -> u64 {
+    debug_assert!(lanes.len() <= 64);
+    let mut word = 0u64;
+    let mut chunks = lanes.chunks_exact(8);
+    for (c, chunk) in chunks.by_ref().enumerate() {
+        // Eight 0/1 bytes gathered into the top byte by one multiply.
+        let bytes = u64::from_le_bytes(std::array::from_fn(|i| u8::from(chunk[i])));
+        word |= (bytes.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (c * 8);
+    }
+    let base = lanes.len() / 8 * 8;
+    for (j, &b) in chunks.remainder().iter().enumerate() {
+        word |= u64::from(b) << (base + j);
+    }
+    word
+}
+
+/// The three-way conditional move over lanes `0..k`: φ condition → φ,
+/// else the selected branch's value and flag (`None` branch = φ), exactly
+/// like the scalar `Select` arm. Values copy branch-free (φ lanes may take
+/// the other branch's garbage); flags combine a mask word at a time.
 fn select_lanes<T: Copy>(
     k: usize,
     cond: &[bool],
@@ -304,21 +348,51 @@ fn select_lanes<T: Copy>(
     d: &mut [T],
     dmask: &mut NullMask,
 ) {
-    for j in 0..k {
-        let src = if cmask.get(j) {
-            None
-        } else if cond[j] {
-            t
-        } else {
-            f
-        };
-        match src {
-            None => dmask.set(j, true),
-            Some((scol, smask)) => {
-                d[j] = scol[j];
-                dmask.set(j, smask.get(j));
+    let (cond, d) = (&cond[..k], &mut d[..k]);
+    match (t, f) {
+        (Some((tc, _)), Some((fc, _))) => {
+            for (((d, &c), &x), &y) in d.iter_mut().zip(cond).zip(&tc[..k]).zip(&fc[..k]) {
+                *d = if c { x } else { y };
             }
         }
+        (Some((col, _)), None) | (None, Some((col, _))) => d.copy_from_slice(&col[..k]),
+        (None, None) => {}
+    }
+    let tw = t.map(|(_, m)| m.words());
+    let fw = f.map(|(_, m)| m.words());
+    let cw = cmask.words();
+    for (w, lanes) in cond.chunks(64).enumerate() {
+        let c = pack_bools(lanes);
+        let tn = tw.map_or(!0, |m| m[w]);
+        let fnull = fw.map_or(!0, |m| m[w]);
+        // Lanes past `k` in the last word pick up garbage flags, which
+        // every consumer ignores (it bounds itself by `k`).
+        dmask.words_mut()[w] = cw[w] | (c & tn) | (!c & fnull);
+    }
+}
+
+/// Bulk-loads a run of spans into lane column `col` through `unbox`
+/// (`None` = φ, leaving the lane's slot untouched). Word `w` of `null`
+/// receives the φ flags of lanes `64w..64w + 64`, and word `w` of
+/// `present` the lanes whose span is not φ.
+pub(crate) fn load_run<T: Copy>(
+    run: &[Span<Value>],
+    col: &mut [T],
+    null: &mut [u64],
+    present: &mut [u64],
+    unbox: impl Fn(&Value) -> Option<T>,
+) {
+    for (w, chunk) in run.chunks(64).enumerate() {
+        let (mut nw, mut pw) = (0u64, 0u64);
+        for (j, (s, d)) in chunk.iter().zip(&mut col[w * 64..]).enumerate() {
+            match unbox(&s.value) {
+                Some(x) => *d = x,
+                None => nw |= 1 << j,
+            }
+            pw |= u64::from(!matches!(s.value, Value::Null)) << j;
+        }
+        null[w] = nw;
+        present[w] = pw;
     }
 }
 
@@ -396,8 +470,7 @@ impl BatchCtx {
 
     /// Reads one lane of a typed register as a boxed [`tilt_data::Value`]
     /// (the root column, boxed once per visited tick at push time).
-    pub(crate) fn read_lane(&self, reg: Reg, lane: usize) -> tilt_data::Value {
-        use tilt_data::Value;
+    pub(crate) fn read_lane(&self, reg: Reg, lane: usize) -> Value {
         match reg.class {
             Class::F if !self.nf[reg.idx as usize].get(lane) => {
                 Value::Float(self.f[reg.idx as usize * self.cap + lane])
@@ -412,10 +485,72 @@ impl BatchCtx {
         }
     }
 
+    /// Runs a lane-gated fused window map over `run` (at most
+    /// [`MAX_BATCH`] entering spans) at clock `t` — every lane reads the
+    /// slide's grid tick, so the map executes with a constant clock. Bit
+    /// `j` of `folded` is set iff span `j` is not φ and maps to a non-φ
+    /// value, which lands in `vals[j]` (`f64` bits or `i64`). Returns the
+    /// map executions: the non-φ spans.
+    pub(crate) fn map_run(
+        &mut self,
+        map: &TypedMap,
+        t: i64,
+        run: &[Span<Value>],
+        folded: &mut [u64],
+        vals: &mut [u64],
+    ) -> u64 {
+        let (k, cap) = (run.len(), self.cap);
+        debug_assert!(k <= cap);
+        let mut present = [0u64; MAX_BATCH / 64];
+        let (var, c) = (map.var.idx as usize, map.var.idx as usize * cap);
+        match map.var.class {
+            Class::F => {
+                let null = self.nf[var].words_mut();
+                load_run(run, &mut self.f[c..c + k], null, &mut present, Value::as_f64);
+            }
+            Class::I => {
+                let null = self.ni[var].words_mut();
+                load_run(run, &mut self.i[c..c + k], null, &mut present, Value::as_i64);
+            }
+            Class::B => {
+                let null = self.nb[var].words_mut();
+                load_run(run, &mut self.b[c..c + k], null, &mut present, Value::as_bool);
+            }
+            Class::V => unreachable!("the lane gate rejects boxed map elements"),
+        }
+        self.exec(&map.instrs, t, 0, k);
+        let words = k.div_ceil(64);
+        let root_null = match map.root {
+            Some(r) => {
+                let c = r.idx as usize * cap;
+                match r.class {
+                    Class::F => {
+                        for (v, x) in vals.iter_mut().zip(&self.f[c..c + k]) {
+                            *v = x.to_bits();
+                        }
+                        self.nf[r.idx as usize].words()
+                    }
+                    Class::I => {
+                        for (v, x) in vals.iter_mut().zip(&self.i[c..c + k]) {
+                            *v = *x as u64;
+                        }
+                        self.ni[r.idx as usize].words()
+                    }
+                    _ => unreachable!("typed fold classes are F and I"),
+                }
+            }
+            None => &[!0u64; MAX_BATCH / 64][..],
+        };
+        for ((f, p), n) in folded[..words].iter_mut().zip(&present).zip(root_null) {
+            *f = p & !n;
+        }
+        present[..words].iter().map(|w| u64::from(w.count_ones())).sum()
+    }
+
     /// Executes a gated body over lanes `0..k`, where lane `j` is grid
     /// tick `t0 + j·p`. Semantics match the scalar [`exec`] loop lane for
     /// lane; see the module docs for the φ-lane garbage discipline.
-    pub(crate) fn exec(&mut self, instrs: &[Instr], t0: i64, p: i64, k: usize) {
+    pub(super) fn exec(&mut self, instrs: &[Instr], t0: i64, p: i64, k: usize) {
         let cap = self.cap;
         debug_assert!(k <= cap);
         for ins in instrs {

@@ -606,9 +606,9 @@ impl TypedCtx {
 #[derive(Clone, Debug)]
 pub(crate) struct TypedMap {
     /// The register the element value is loaded into before evaluation.
-    var: Reg,
-    instrs: Vec<Instr>,
-    root: Option<Reg>,
+    pub(super) var: Reg,
+    pub(super) instrs: Vec<Instr>,
+    pub(super) root: Option<Reg>,
 }
 
 impl TypedMap {

@@ -15,9 +15,9 @@ use tilt_data::{SnapshotBuf, SsCursor, Time, TimeRange, Value};
 use tilt_obs::Profiler;
 
 use super::batch::{batchable, BatchCtx, MAX_BATCH};
-use super::compiled::{compile_typed, type_lookup, Class, TypedCtx, TypedMap, TypedProgram};
+use super::compiled::{compile_typed, type_lookup, Class, TypedProgram};
 use super::program::{compile, EvalCtx, PointSpec, Program};
-use super::reduce::{typed_fold_class, typed_result_class, ReduceRunner};
+use super::reduce::{typed_fold_class, typed_result_class, FoldMode, ReduceRunner, TypedFold};
 use crate::error::Result;
 use crate::ir::typeck::TypeInfo;
 use crate::ir::{TObjId, TempExpr};
@@ -43,11 +43,11 @@ pub struct Kernel {
     /// The typed register-bytecode body, when the compiled tier lowered
     /// this kernel (see [`super::lower_typed`]).
     pub(crate) typed: Option<TypedProgram>,
-    /// Per reduce slot: `(fold class, result class)` when the unboxed
+    /// Per reduce slot: the fold and result classes when the unboxed
     /// map→accumulator path applies — the typed map's output feeds the
-    /// monomorphized accumulator directly, no `Value` round trip. Empty
-    /// until typed lowering.
-    reduce_modes: Vec<Option<(Class, Class)>>,
+    /// monomorphized accumulator directly, no `Value` round trip — and
+    /// whether the map runs over lane columns. Empty until typed lowering.
+    reduce_modes: Vec<Option<FoldMode>>,
     /// Whether this kernel drives the batched tier: requested by the
     /// compiler *and* admitted by the batch gate (see `super::batch`).
     batched: bool,
@@ -122,10 +122,12 @@ impl Kernel {
                 .iter()
                 .zip(&tp.reduce_elem)
                 .map(|(rs, elem)| {
-                    typed_fold_class(&rs.op, *elem).zip(typed_result_class(&rs.op, *elem))
+                    let fold = typed_fold_class(&rs.op, *elem)?;
+                    let res = typed_result_class(&rs.op, *elem)?;
+                    Some(FoldMode { fold, res, lanes: false })
                 })
                 .collect();
-            kernel.batched = batched && batchable(tp, &kernel.reduce_modes);
+            kernel.batched = batched && batchable(tp, &mut kernel.reduce_modes);
         }
         Ok(kernel)
     }
@@ -296,11 +298,12 @@ impl Kernel {
                 // feeds the monomorphized accumulator directly and the
                 // result lands in its register without a `Value` round
                 // trip — `fallback_ops` stays 0 for numeric plans.
-                if let Some((fold, res)) = modes[i] {
-                    if reg.is_none_or(|r| r.class == res) {
-                        slide_typed(runner, &mut ctx, &tp.typed_maps[i], fold, g);
+                if let Some(mode) = modes[i] {
+                    if reg.is_none_or(|r| r.class == mode.res) {
+                        let map = tp.typed_maps[i].as_ref().map(|m| (m, &mut ctx));
+                        runner.slide_typed(g, TypedFold { map, lanes: None });
                         if let Some(reg) = reg {
-                            match res {
+                            match mode.res {
                                 Class::F => ctx.store_f64(reg, runner.result_f()),
                                 Class::I => ctx.store_i64(reg, runner.result_i()),
                                 _ => unreachable!("typed result class is F or I"),
@@ -375,12 +378,15 @@ impl Kernel {
     /// but lanes accumulate while stepping stays dense (`next == g + p`) and
     /// the typed body then executes **once per run** over columnar registers
     /// (see [`super::batch`]) — one instruction dispatch per run instead of
-    /// per tick, φ checks one branch per 64 lanes. Reduce slides and point
-    /// cursor reads stay per-lane: they are already O(1) per tick through
-    /// [`SsCursor`] (constant-span stretches never re-search the buffer) and
-    /// they carry the per-lane change-point state `next_tick` steps on, so
-    /// stepping — and therefore output — is byte-identical to the scalar
-    /// tiers.
+    /// per tick, φ checks one branch per 64 lanes. Each tick's window slides
+    /// fold their entering spans a run at a time, with lane-gated fused
+    /// maps executing over the same [`BatchCtx`] (map registers are
+    /// disjoint from body registers). Point cursor reads and the slide
+    /// calls themselves stay per tick: cursors are O(1) per tick through
+    /// [`SsCursor`] (constant-span stretches never re-search the buffer),
+    /// and both carry the per-tick change-point state `next_tick` steps
+    /// on, so stepping — and therefore output — is byte-identical to the
+    /// scalar tiers.
     fn run_batched(
         &self,
         tp: &TypedProgram,
@@ -445,8 +451,10 @@ impl Kernel {
                 ctx.t = gk.ticks();
                 for (i, runner) in reduces.iter_mut().enumerate() {
                     match self.reduce_modes[i] {
-                        Some((fold, _)) => {
-                            slide_typed(runner, &mut ctx, &tp.typed_maps[i], fold, gk)
+                        Some(mode) => {
+                            let map = tp.typed_maps[i].as_ref().map(|m| (m, &mut ctx));
+                            let lanes = if mode.lanes { Some(&mut bc) } else { None };
+                            runner.slide_typed(gk, TypedFold { map, lanes });
                         }
                         // Result provably φ (no register): the window still
                         // slides dynamically so `next_tick` sees its state.
@@ -734,27 +742,6 @@ struct PointRunner<'a> {
     boundary: Option<Time>,
 }
 
-/// Slides a reduce runner through the unboxed fold path: the fused window
-/// map (or a typed identity read) feeds `f64`/`i64` straight into the
-/// monomorphized accumulator — no `Value` boxing per element. `fold` is the
-/// statically proven fold class; callers only reach here when
-/// [`typed_fold_class`] returned it.
-fn slide_typed(
-    runner: &mut ReduceRunner<'_>,
-    ctx: &mut TypedCtx,
-    map: &Option<TypedMap>,
-    fold: Class,
-    g: Time,
-) {
-    match (fold, map) {
-        (Class::F, Some(map)) => runner.slide_f(g, &mut |e: &Value| map.run_f64(ctx, e)),
-        (Class::F, None) => runner.slide_f(g, &mut |e: &Value| e.as_f64()),
-        (Class::I, Some(map)) => runner.slide_i(g, &mut |e: &Value| map.run_i64(ctx, e)),
-        (Class::I, None) => runner.slide_i(g, &mut |e: &Value| e.as_i64()),
-        _ => unreachable!("typed fold classes are F and I"),
-    }
-}
-
 /// Evaluates the program at grid tick `g`: reduces first (their fused maps
 /// use variable slots), then point accesses, then the compiled body.
 fn eval_at(
@@ -929,6 +916,37 @@ mod tests {
         // No grid tick inside (0, 50] for precision 100: all φ.
         assert_eq!(out.to_events().len(), 0);
         assert_eq!(out.range(), TimeRange::new(Time::new(0), Time::new(50)));
+    }
+
+    #[test]
+    fn filter_map_folds_over_lanes() {
+        // Where → tumbling Count (the YSB kernel): the fused filter passes
+        // the lane gate, so batched slides map whole runs of spans.
+        let mut b = Query::builder();
+        let x = b.input("x", DataType::Int);
+        let views = b.temporal(
+            "views",
+            TDom::every_tick(),
+            Expr::if_else(Expr::at(x).eq(Expr::c(0i64)), Expr::at(x), Expr::null()),
+        );
+        let out = b.temporal(
+            "counts",
+            TDom::unbounded(100),
+            Expr::reduce_window(ReduceOp::Count, views, 100),
+        );
+        let cq = crate::Compiler::new().compile(&b.finish(out).unwrap()).unwrap();
+        let kernel = &cq.kernels()[0];
+        assert!(kernel.is_batched());
+        assert!(kernel.reduce_modes[0].is_some_and(|m| m.lanes));
+
+        let events: Vec<Event<Value>> =
+            (1..=1000).map(|t| Event::point(Time::new(t), Value::Int(t % 3))).collect();
+        let range = TimeRange::new(Time::new(0), Time::new(1000));
+        let buf = SnapshotBuf::from_events(&events, range);
+        let counts = cq.run(&[&buf], range);
+        assert_eq!(counts.value_at(Time::new(100)), Value::Int(33));
+        assert_eq!(counts.value_at(Time::new(1000)), Value::Int(33));
+        assert_eq!(cq.map_runs(), 1000);
     }
 
     #[test]

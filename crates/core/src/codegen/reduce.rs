@@ -15,20 +15,43 @@
 //! * Custom with `deacc` — Subtract-on-Evict through the user's template;
 //! * Custom without `deacc` — full window recomputation per evaluation.
 //!
+//! A slide enters spans a *run* at a time: the spans entering the window,
+//! up to [`MAX_BATCH`] of them, are mapped together — unboxed into a typed
+//! column, or run through the fused map over lane columns
+//! ([`BatchCtx::map_run`]) — and the mapped lanes fold into the
+//! accumulator one by one, in span order, so float sums round exactly as
+//! a per-span fold would. Boxed runners (the interpreter, custom and
+//! dynamically typed folds) take the same run loop with a per-element
+//! boxed transform.
+//!
 //! Mapped windows fold the *mapped* value, and eviction must subtract the
-//! same value that entered. The runner caches each span's fold outcome
-//! ([`Folded`]) at accumulate time, so Subtract-on-Evict pops the cache
-//! instead of re-executing the fused map — each element is mapped exactly
-//! once over its lifetime in the window.
+//! same value that entered. The runner therefore keeps each in-window
+//! span's fold outcome in a columnar cache ([`FoldCache`]): one "folded"
+//! bit per span, packed in words, beside a typed value column (or, for
+//! boxed runners, the folded values in order). Eviction retires whole
+//! words — the count drops by a popcount, and only subtractive
+//! accumulators visit the folded lanes — and never re-executes the fused
+//! map: each element is mapped exactly once over its lifetime in the
+//! window.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use tilt_data::{Payload, SnapshotBuf, Time, Value};
+use tilt_data::{Payload, SnapshotBuf, Span, Time, Value};
 
-use super::compiled::Class;
+use super::batch::{load_run, BatchCtx, MAX_BATCH};
+use super::compiled::{Class, TypedCtx, TypedMap};
 use super::program::{EvalCtx, MapFn, ReduceSpec};
 use crate::ir::{CustomReduce, ReduceOp};
+
+/// Mask words covering one run of at most [`MAX_BATCH`] spans.
+const RUN_WORDS: usize = MAX_BATCH / 64;
+
+/// Runs shorter than this fold lane by lane — unboxed or through the
+/// scalar map bytecode — instead of as a column: a column pass has a fixed
+/// cost that a handful of spans cannot repay (sliding windows over dense
+/// input enter one span per slide).
+const SHORT_RUN: usize = 8;
 
 /// The accumulator of one reduction.
 ///
@@ -163,95 +186,51 @@ impl State {
             }
             State::MinMaxF { deque, is_max } => {
                 if let Some(x) = v.as_f64() {
-                    while let Some((cand, _)) = deque.back() {
-                        if if *is_max { *cand <= x } else { *cand >= x } {
-                            deque.pop_back();
-                        } else {
-                            break;
-                        }
-                    }
-                    deque.push_back((x, expire));
+                    push_dominant(deque, x, expire, *is_max);
                 }
             }
             State::MinMaxI { deque, is_max } => {
                 if let Some(x) = v.as_i64() {
-                    while let Some((cand, _)) = deque.back() {
-                        if if *is_max { *cand <= x } else { *cand >= x } {
-                            deque.pop_back();
-                        } else {
-                            break;
-                        }
-                    }
-                    deque.push_back((x, expire));
+                    push_dominant(deque, x, expire, *is_max);
                 }
             }
             State::Custom { state, spec } => *state = (spec.acc)(state, v, 1),
         }
     }
 
-    /// Unboxed `f64` fold — the typed tier's counterpart of [`State::add`]
-    /// for element class `F`. Only reachable for states
-    /// [`typed_fold_class`] maps to `Some(Class::F)`.
+    /// Folds one typed lane: `x` is `f64` bits or an `i64` per the
+    /// element class `class`, expiring at `expire`. Each arm replays its
+    /// boxed twin in [`State::add`] exactly (including int-wrapping and
+    /// the `f64` coercion of `StdDev`), so results are bit-identical.
     #[inline]
-    fn add_f(&mut self, x: f64, expire: Time) {
+    fn add_lane(&mut self, class: Class, x: u64, expire: Time) {
+        let (f, i) = (f64::from_bits(x), x as i64);
         match self {
-            State::SumF { acc } | State::MeanF { sum: acc } => *acc += x,
+            State::Count => {}
+            State::SumF { acc } | State::MeanF { sum: acc } => *acc += f,
+            State::SumI { acc } | State::MeanI { sum: acc } => *acc = acc.wrapping_add(i),
             State::ProductF { acc, zeros } => {
-                if x == 0.0 {
+                if f == 0.0 {
                     *zeros += 1;
                 } else {
-                    *acc *= x;
+                    *acc *= f;
                 }
             }
-            State::StdDev { sum, sumsq } => {
-                *sum += x;
-                *sumsq += x * x;
-            }
-            State::MinMaxF { deque, is_max } => {
-                while let Some((cand, _)) = deque.back() {
-                    if if *is_max { *cand <= x } else { *cand >= x } {
-                        deque.pop_back();
-                    } else {
-                        break;
-                    }
-                }
-                deque.push_back((x, expire));
-            }
-            State::Count => {}
-            _ => unreachable!("add_f on a non-f64 accumulator"),
-        }
-    }
-
-    /// Unboxed `i64` fold for element class `I`. `StdDev` accumulates in
-    /// `f64` exactly like the dynamic path's `as_f64` coercion.
-    #[inline]
-    fn add_i(&mut self, x: i64, expire: Time) {
-        match self {
-            State::SumI { acc } | State::MeanI { sum: acc } => *acc = acc.wrapping_add(x),
             State::ProductI { acc, zeros } => {
-                if x == 0 {
+                if i == 0 {
                     *zeros += 1;
                 } else {
-                    *acc = acc.wrapping_mul(x);
+                    *acc = acc.wrapping_mul(i);
                 }
             }
             State::StdDev { sum, sumsq } => {
-                let x = x as f64;
+                let x = if class == Class::F { f } else { i as f64 };
                 *sum += x;
                 *sumsq += x * x;
             }
-            State::MinMaxI { deque, is_max } => {
-                while let Some((cand, _)) = deque.back() {
-                    if if *is_max { *cand <= x } else { *cand >= x } {
-                        deque.pop_back();
-                    } else {
-                        break;
-                    }
-                }
-                deque.push_back((x, expire));
-            }
-            State::Count => {}
-            _ => unreachable!("add_i on a non-i64 accumulator"),
+            State::MinMaxF { deque, is_max } => push_dominant(deque, f, expire, *is_max),
+            State::MinMaxI { deque, is_max } => push_dominant(deque, i, expire, *is_max),
+            _ => unreachable!("boxed accumulator on the typed lane path"),
         }
     }
 
@@ -310,47 +289,41 @@ impl State {
         }
     }
 
-    /// Unboxed inverse of [`State::add_f`].
+    /// Removes one typed lane — the inverse of [`State::add_lane`] for
+    /// the accumulators that [`State::subtracts`].
     #[inline]
-    fn remove_f(&mut self, x: f64) {
+    fn remove_lane(&mut self, class: Class, x: u64) {
+        let (f, i) = (f64::from_bits(x), x as i64);
         match self {
-            State::SumF { acc } | State::MeanF { sum: acc } => *acc -= x,
+            State::SumF { acc } | State::MeanF { sum: acc } => *acc -= f,
+            State::SumI { acc } | State::MeanI { sum: acc } => *acc = acc.wrapping_sub(i),
             State::ProductF { acc, zeros } => {
-                if x == 0.0 {
+                if f == 0.0 {
                     *zeros -= 1;
                 } else {
-                    *acc /= x;
+                    *acc /= f;
+                }
+            }
+            State::ProductI { acc, zeros } => {
+                if i == 0 {
+                    *zeros -= 1;
+                } else {
+                    *acc /= i;
                 }
             }
             State::StdDev { sum, sumsq } => {
+                let x = if class == Class::F { f } else { i as f64 };
                 *sum -= x;
                 *sumsq -= x * x;
             }
-            State::Count => {}
-            _ => unreachable!("remove_f on a non-f64 accumulator"),
+            _ => unreachable!("no typed inverse for this accumulator"),
         }
     }
 
-    /// Unboxed inverse of [`State::add_i`].
-    #[inline]
-    fn remove_i(&mut self, x: i64) {
-        match self {
-            State::SumI { acc } | State::MeanI { sum: acc } => *acc = acc.wrapping_sub(x),
-            State::ProductI { acc, zeros } => {
-                if x == 0 {
-                    *zeros -= 1;
-                } else {
-                    *acc /= x;
-                }
-            }
-            State::StdDev { sum, sumsq } => {
-                let x = x as f64;
-                *sum -= x;
-                *sumsq -= x * x;
-            }
-            State::Count => {}
-            _ => unreachable!("remove_i on a non-i64 accumulator"),
-        }
+    /// Whether eviction must visit each retired lane: `Count` only drops
+    /// the count, and deques evict by expiry.
+    fn subtracts(&self) -> bool {
+        !matches!(self, State::Count) && !self.is_deque()
     }
 
     /// Whether this accumulator evicts by expiry (monotonic deques) rather
@@ -494,7 +467,7 @@ impl State {
 /// The unboxed class a typed runner folds elements as, or `None` when the
 /// fold must stay dynamic (boxed `Value`). This is the static twin of the
 /// accumulator variant [`State::with_class`] picks: `Some` exactly when
-/// that variant has an `add_f`/`add_i` arm for the element class.
+/// that variant has an [`State::add_lane`] arm for the element class.
 pub(crate) fn typed_fold_class(op: &ReduceOp, class: Option<Class>) -> Option<Class> {
     match (op, class) {
         (ReduceOp::Custom(_), _) => None,
@@ -516,27 +489,230 @@ pub(crate) fn typed_result_class(op: &ReduceOp, class: Option<Class>) -> Option<
     }
 }
 
-/// One span's fold outcome, cached at accumulate time so eviction can
-/// subtract exactly what entered without re-executing the fused map.
-#[derive(Clone, Debug)]
-enum Folded {
-    /// φ source span or φ map output — never folded, count untouched.
-    Skip,
-    /// Dynamic fold: the mapped boxed value.
-    Boxed(Value),
-    /// Typed `f64` fold.
-    F(f64),
-    /// Typed `i64` fold.
-    I(i64),
+/// How one reduce slot of a typed kernel folds: the unboxed element and
+/// result classes ([`typed_fold_class`], [`typed_result_class`]), and
+/// whether its fused map passed the lane gate (see `super::batch`).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct FoldMode {
+    pub(crate) fold: Class,
+    pub(crate) res: Class,
+    /// The fused map runs over lane columns on the batched tier.
+    pub(crate) lanes: bool,
+}
+
+/// Pushes `x` onto a monotonic Min/Max deque, first popping the candidates
+/// it dominates.
+fn push_dominant<T: PartialOrd>(deque: &mut VecDeque<(T, Time)>, x: T, expire: Time, is_max: bool) {
+    while let Some((cand, _)) = deque.back() {
+        if if is_max { *cand <= x } else { *cand >= x } {
+            deque.pop_back();
+        } else {
+            break;
+        }
+    }
+    deque.push_back((x, expire));
+}
+
+/// The words of `words` that hold bits `lo..hi`, each masked to that
+/// range, with their indices.
+#[inline]
+fn masked_words(words: &[u64], lo: usize, hi: usize) -> impl Iterator<Item = (usize, u64)> + '_ {
+    let span = if lo < hi { lo / 64..(hi - 1) / 64 + 1 } else { 0..0 };
+    let first = span.start;
+    words[span].iter().enumerate().map(move |(q, &m)| {
+        let w = first + q;
+        let mut m = m;
+        if w == lo / 64 {
+            m &= !0u64 << (lo % 64);
+        }
+        if w == (hi - 1) / 64 {
+            m &= !0u64 >> (63 - (hi - 1) % 64);
+        }
+        (w, m)
+    })
+}
+
+/// Calls `f(l)` for every set bit `l` in `lo..hi` of `words`, ascending.
+#[inline]
+fn each_set(words: &[u64], lo: usize, hi: usize, mut f: impl FnMut(usize)) {
+    for (w, mut m) in masked_words(words, lo, hi) {
+        while m != 0 {
+            f(w * 64 + m.trailing_zeros() as usize);
+            m &= m - 1;
+        }
+    }
+}
+
+/// The number of set bits in `lo..hi` of `words`.
+fn count_set(words: &[u64], lo: usize, hi: usize) -> i64 {
+    masked_words(words, lo, hi).map(|(_, m)| i64::from(m.count_ones())).sum()
+}
+
+/// The length of the prefix of `spans` that ends at or before `lo` (span
+/// ends increase strictly). Most slides retire a span or two, so those
+/// are scanned; longer prefixes gallop, then binary-search.
+#[inline]
+fn expired_prefix(spans: &[Span<Value>], lo: Time) -> usize {
+    const SCAN: usize = 4;
+    let mut n = 0;
+    while n < spans.len() && spans[n].t_end <= lo {
+        n += 1;
+        if n == SCAN {
+            let mut hi = 2 * SCAN;
+            while hi <= spans.len() && spans[hi - 1].t_end <= lo {
+                n = hi;
+                hi *= 2;
+            }
+            return n + spans[n..hi.min(spans.len())].partition_point(|s| s.t_end <= lo);
+        }
+    }
+    n
+}
+
+/// The fold outcomes of a runner's in-window spans `[evict_idx,
+/// enter_idx)`, by column: span `i` sits at lane `i - base`.
+#[derive(Debug, Default)]
+struct FoldCache {
+    /// The span at lane 0; advances a whole word (64 lanes) at a time.
+    base: usize,
+    /// Lane `l` is bit `l % 64` of word `l / 64`: set iff the span folded.
+    folded: Vec<u64>,
+    /// Typed runners: each lane's folded value (`f64` bits or `i64`);
+    /// lanes that did not fold hold garbage.
+    vals: Vec<u64>,
+    /// Boxed runners: the folded values, oldest first (one per set bit).
+    boxed: VecDeque<Value>,
+}
+
+impl FoldCache {
+    /// Appends lane `l`, the next one: its fold bit and, for typed
+    /// runners, its value.
+    #[inline]
+    fn push(&mut self, l: usize, folded: bool, val: u64, typed: bool) {
+        if l.is_multiple_of(64) {
+            self.folded.push(0);
+            if typed {
+                // Grow a word's worth at a time, not by doubling from one.
+                self.vals.reserve(64);
+            }
+        }
+        self.folded[l / 64] |= u64::from(folded) << (l % 64);
+        if typed {
+            self.vals.push(val);
+        }
+    }
+
+    /// Appends the fold bits of a run at lanes `pos..pos + k` (the run's
+    /// values are already in place).
+    fn push_bits(&mut self, pos: usize, bits: &[u64; RUN_WORDS], k: usize) {
+        self.folded.resize((pos + k).div_ceil(64), 0);
+        let (w0, off) = (pos / 64, pos % 64);
+        for (q, &b) in bits[..k.div_ceil(64)].iter().enumerate() {
+            self.folded[w0 + q] |= b << off;
+            if off != 0 && b >> (64 - off) != 0 {
+                self.folded[w0 + q + 1] |= b >> (64 - off);
+            }
+        }
+    }
+
+    /// Drops the words wholly before span `live` (the oldest in-window
+    /// span) once they make up half the storage, so compaction costs O(1)
+    /// amortized per span; an empty window (`live == end`) resets.
+    #[inline]
+    fn retire(&mut self, live: usize, end: usize) {
+        if live == end {
+            self.folded.clear();
+            self.vals.clear();
+            self.base = end;
+            return;
+        }
+        let words = (live - self.base) / 64;
+        if words == 0 || words * 2 < self.folded.len() {
+            return;
+        }
+        self.folded.drain(..words);
+        self.vals.drain(..(words * 64).min(self.vals.len()));
+        self.base += words * 64;
+    }
 }
 
 /// The element transform of one slide, in the representation the
-/// accumulator folds: boxed for dynamic runners, unboxed for typed ones.
-/// `None`/φ outputs drop the element.
+/// accumulator folds.
 pub(crate) enum FoldKind<'m> {
+    /// Boxed: each non-φ element through a per-element transform; a φ
+    /// output drops the element.
     Dyn(&'m mut dyn FnMut(&Value) -> Value),
-    F(&'m mut dyn FnMut(&Value) -> Option<f64>),
-    I(&'m mut dyn FnMut(&Value) -> Option<i64>),
+    /// Unboxed: the runner's element class, a run of spans at a time.
+    Typed(TypedFold<'m>),
+}
+
+/// Where a typed slide's fold values come from: the source payloads
+/// unboxed directly, or the fused typed map.
+pub(crate) struct TypedFold<'m> {
+    /// The fused map and the scalar register file it runs in (its clock,
+    /// `TypedCtx::t`, is the slide's grid tick; its `map_runs` counts
+    /// executions).
+    pub(crate) map: Option<(&'m TypedMap, &'m mut TypedCtx)>,
+    /// Lane columns, when the map passed the lane gate (batched tier).
+    pub(crate) lanes: Option<&'m mut BatchCtx>,
+}
+
+impl TypedFold<'_> {
+    /// One span's fold value (`f64` bits or `i64`, per `class`), or `None`
+    /// when it does not fold. φ spans never run the map.
+    #[inline]
+    fn lane(&mut self, class: Class, v: &Value) -> Option<u64> {
+        match &mut self.map {
+            None => unbox(class, v),
+            Some(_) if v.is_null() => None,
+            Some((map, ctx)) => match class {
+                Class::F => map.run_f64(ctx, v).map(f64::to_bits),
+                Class::I => map.run_i64(ctx, v).map(|x| x as u64),
+                _ => unreachable!("typed fold classes are F and I"),
+            },
+        }
+    }
+
+    /// Maps a whole run of entering spans: sets bit `j` of `folded` iff
+    /// span `j` folds, with its value in `vals[j]` as [`TypedFold::lane`]
+    /// would give it.
+    fn map_run(
+        &mut self,
+        class: Class,
+        run: &[Span<Value>],
+        folded: &mut [u64; RUN_WORDS],
+        vals: &mut [u64],
+    ) {
+        if self.map.is_none() {
+            let (mut null, mut present) = ([0u64; RUN_WORDS], [0u64; RUN_WORDS]);
+            load_run(run, vals, &mut null, &mut present, |v| unbox(class, v));
+            for ((f, p), n) in folded.iter_mut().zip(present).zip(null) {
+                *f = p & !n;
+            }
+        } else if let (Some((map, ctx)), Some(bc)) = (&mut self.map, &mut self.lanes) {
+            ctx.map_runs += bc.map_run(map, ctx.t, run, folded, vals);
+        } else {
+            // The lane gate rejected the map: its scalar bytecode runs per
+            // lane, inside the same run loop.
+            for (j, (s, v)) in run.iter().zip(vals.iter_mut()).enumerate() {
+                if let Some(x) = self.lane(class, &s.value) {
+                    *v = x;
+                    folded[j / 64] |= 1 << (j % 64);
+                }
+            }
+        }
+    }
+}
+
+/// Unboxes a payload as a fold lane of `class` (`f64` bits, with int →
+/// float coercion, or an `i64`); `None` for φ and other classes.
+#[inline]
+fn unbox(class: Class, v: &Value) -> Option<u64> {
+    match class {
+        Class::F => v.as_f64().map(f64::to_bits),
+        Class::I => v.as_i64().map(|x| x as u64),
+        _ => unreachable!("typed fold classes are F and I"),
+    }
 }
 
 /// Incremental evaluation of one window reduction over one source buffer.
@@ -557,10 +733,13 @@ pub struct ReduceRunner<'a> {
     enter_idx: usize,
     /// Index of the next span to *evict* (first span with `end > cur_lo`).
     evict_idx: usize,
-    /// Fold outcomes of the spans in `[evict_idx, enter_idx)`, front =
-    /// oldest. Pushed once per span at entry, popped at eviction — the
-    /// fused map runs exactly once per element.
-    cache: VecDeque<Folded>,
+    /// Fold outcomes of the spans in `[evict_idx, enter_idx)`, recorded
+    /// once per span at entry — the fused map runs exactly once per
+    /// element.
+    cache: FoldCache,
+    /// Whether slides fold boxed values (the cache then holds them in
+    /// `cache.boxed`, typed slides in `cache.vals`).
+    boxed: bool,
     /// Current window end edge.
     cur_hi: Time,
     initialized: bool,
@@ -590,15 +769,16 @@ impl<'a> ReduceRunner<'a> {
             count: 0,
             enter_idx: 0,
             evict_idx: 0,
-            cache: VecDeque::new(),
+            cache: FoldCache::default(),
+            boxed: true,
             cur_hi: Time::MIN,
             initialized: false,
         }
     }
 
     /// The unboxed class this runner's typed slide folds elements as
-    /// ([`ReduceRunner::slide_f`]/[`ReduceRunner::slide_i`]), or `None`
-    /// when only the dynamic path applies.
+    /// ([`ReduceRunner::slide_typed`]), or `None` when only the dynamic
+    /// path applies.
     #[cfg(test)]
     pub(crate) fn fold_class(&self) -> Option<Class> {
         typed_fold_class(&self.spec.op, self.class)
@@ -669,26 +849,20 @@ impl<'a> ReduceRunner<'a> {
     /// Slides the window to `(t+lo, t+hi]` and returns the reduction
     /// result, with the fused element transform supplied as a closure —
     /// identity for unmapped windows, the interpreted [`MapFn`] via
-    /// [`ReduceRunner::eval_at`], or the typed tier's compiled map. A φ
+    /// [`ReduceRunner::eval_at`], or the typed tier's boxed map. A φ
     /// result from `map` drops the element, exactly like a φ source span.
     pub fn eval_at_with(&mut self, t: Time, map: &mut dyn FnMut(&Value) -> Value) -> Value {
         self.slide(t, &mut FoldKind::Dyn(map));
         self.state.result(self.count)
     }
 
-    /// Typed slide with an unboxed `f64` element transform — the batched
-    /// and per-tick typed tiers' path when [`ReduceRunner::fold_class`] is
-    /// `Some(Class::F)`. Read the result afterwards with
+    /// Typed slide: entering spans fold unboxed, a run at a time, through
+    /// `fold` — the batched and per-tick typed tiers' path when
+    /// [`typed_fold_class`] applies. Read the result afterwards with
     /// [`ReduceRunner::result_f`] or [`ReduceRunner::result_i`] per the
     /// operation's result class.
-    pub(crate) fn slide_f(&mut self, t: Time, map: &mut dyn FnMut(&Value) -> Option<f64>) {
-        self.slide(t, &mut FoldKind::F(map));
-    }
-
-    /// Typed slide with an unboxed `i64` element transform
-    /// ([`ReduceRunner::fold_class`] `== Some(Class::I)`).
-    pub(crate) fn slide_i(&mut self, t: Time, map: &mut dyn FnMut(&Value) -> Option<i64>) {
-        self.slide(t, &mut FoldKind::I(map));
+    pub(crate) fn slide_typed(&mut self, t: Time, fold: TypedFold<'_>) {
+        self.slide(t, &mut FoldKind::Typed(fold));
     }
 
     /// The unboxed `f64` result after a typed slide (`None` = φ).
@@ -712,28 +886,40 @@ impl<'a> ReduceRunner<'a> {
             let spans = self.src.spans();
             self.evict_idx = spans.partition_point(|s| s.t_end <= new_lo);
             self.enter_idx = self.evict_idx;
+            self.cache.base = self.evict_idx;
             self.cur_hi = new_lo;
         }
         debug_assert!(new_hi >= self.cur_hi, "reduce window must advance monotonically");
+        let boxed = matches!(fold, FoldKind::Dyn(_));
+        debug_assert!(
+            boxed == self.boxed || self.enter_idx == self.evict_idx,
+            "a runner's fold representation must not change mid-window"
+        );
+        self.boxed = boxed;
 
         if self.state.invertible() {
-            debug_assert_eq!(
-                self.cache.len(),
-                self.enter_idx - self.evict_idx,
-                "fold cache must mirror the in-window span range"
-            );
             self.enter_until(new_hi, fold);
             self.evict_until(new_lo);
         } else {
-            // Recompute the window from scratch. (The cache is unused on
-            // this path: map re-execution is inherent to recomputation.)
+            // Recompute the window from scratch (map re-execution is
+            // inherent to recomputation). Only custom reductions without
+            // an inverse land here, and those always fold boxed.
+            let FoldKind::Dyn(map) = fold else {
+                unreachable!("non-invertible reductions fold boxed")
+            };
             self.state.reset(&self.spec.op, self.class);
             self.count = 0;
             let spans = self.src.spans();
             let first = spans.partition_point(|s| s.t_end <= new_lo);
             let mut i = first;
             while i < spans.len() && self.src.span_start(i) < new_hi {
-                self.fold(&spans[i].value, spans[i].t_end, fold);
+                if !spans[i].value.is_null() {
+                    let mv = map(&spans[i].value);
+                    if !mv.is_null() {
+                        self.state.add(&mv, spans[i].t_end);
+                        self.count += 1;
+                    }
+                }
                 i += 1;
             }
             // Keep indices roughly in sync for next_enter/evict queries.
@@ -743,104 +929,113 @@ impl<'a> ReduceRunner<'a> {
         self.cur_hi = new_hi;
     }
 
+    /// Enters every span that starts before `new_hi`, a run of at most
+    /// [`MAX_BATCH`] spans at a time: the run is mapped as a whole, then
+    /// its folded lanes join the accumulator one by one in span order.
     fn enter_until(&mut self, new_hi: Time, fold: &mut FoldKind) {
         let spans = self.src.spans();
         while self.enter_idx < spans.len() && self.src.span_start(self.enter_idx) < new_hi {
-            let span = &spans[self.enter_idx];
-            let folded = self.fold(&span.value, span.t_end, fold);
-            self.cache.push_back(folded);
-            self.enter_idx += 1;
+            let first = self.enter_idx;
+            let cap = (spans.len() - first).min(MAX_BATCH);
+            let mut k = 1;
+            while k < cap && spans[first + k - 1].t_end < new_hi {
+                k += 1;
+            }
+            let run = &spans[first..first + k];
+            let pos = first - self.cache.base;
+            let mut n = 0;
+            match fold {
+                FoldKind::Dyn(map) => {
+                    for (j, s) in run.iter().enumerate() {
+                        let mv = if s.value.is_null() { Value::Null } else { map(&s.value) };
+                        let folds = !mv.is_null();
+                        if folds {
+                            self.state.add(&mv, s.t_end);
+                            self.cache.boxed.push_back(mv);
+                            n += 1;
+                        }
+                        self.cache.push(pos + j, folds, 0, false);
+                    }
+                }
+                // Short runs fold lane by lane: a column pass costs more
+                // than it saves on a handful of spans.
+                FoldKind::Typed(tf) if k < SHORT_RUN => {
+                    let class = self.class.expect("typed slides have an element class");
+                    for (j, s) in run.iter().enumerate() {
+                        let x = tf.lane(class, &s.value);
+                        if let Some(x) = x {
+                            self.state.add_lane(class, x, s.t_end);
+                            n += 1;
+                        }
+                        self.cache.push(pos + j, x.is_some(), x.unwrap_or(0), true);
+                    }
+                }
+                FoldKind::Typed(tf) => {
+                    let class = self.class.expect("typed slides have an element class");
+                    let mut folded = [0u64; RUN_WORDS];
+                    self.cache.vals.resize(pos + k, 0);
+                    let vals = &mut self.cache.vals[pos..];
+                    tf.map_run(class, run, &mut folded, vals);
+                    if !matches!(self.state, State::Count) {
+                        let state = &mut self.state;
+                        each_set(&folded, 0, k, |j| state.add_lane(class, vals[j], run[j].t_end));
+                    }
+                    self.cache.push_bits(pos, &folded, k);
+                    n = count_set(&folded, 0, k);
+                }
+            }
+            self.count += n;
+            self.enter_idx += k;
         }
     }
 
-    /// Eviction never consults the map: each span's fold outcome was
-    /// cached when it entered.
+    /// Retires every span that ends at or before `new_lo`. Eviction never
+    /// consults the map: the count drops by the popcount of the retired
+    /// fold bits, and subtractive accumulators remove the cached values of
+    /// the folded lanes, oldest first.
     fn evict_until(&mut self, new_lo: Time) {
         if self.state.is_deque() {
             self.state.evict_expired(new_lo);
-            // Recount: expired entries were counted on entry; maintain count
-            // by advancing evict_idx over fully expired spans.
-            let spans = self.src.spans();
-            while self.evict_idx < spans.len() && spans[self.evict_idx].t_end <= new_lo {
-                if self.pop_folded() {
-                    self.count -= 1;
-                }
-                self.evict_idx += 1;
-            }
-            return;
         }
-        let spans = self.src.spans();
-        while self.evict_idx < spans.len() && spans[self.evict_idx].t_end <= new_lo {
-            if self.pop_folded() {
-                self.count -= 1;
-            }
-            self.evict_idx += 1;
-        }
-    }
-
-    /// Pops the oldest cached fold outcome, subtracting it from
-    /// non-deque accumulators. Returns whether the span had been counted.
-    fn pop_folded(&mut self) -> bool {
-        // Only spans that actually entered have cache entries; spans the
+        let end = self.evict_idx + expired_prefix(&self.src.spans()[self.evict_idx..], new_lo);
+        // Only spans that actually entered have cache lanes; spans the
         // initial partition_point skipped never did.
-        if self.evict_idx >= self.enter_idx {
-            return false;
-        }
-        match self.cache.pop_front().expect("cache aligned with [evict_idx, enter_idx)") {
-            Folded::Skip => false,
-            Folded::Boxed(v) => {
-                if !self.state.is_deque() {
-                    self.state.remove(&v);
+        let base = self.cache.base;
+        let (lo, hi) = (self.evict_idx - base, end.min(self.enter_idx).max(self.evict_idx) - base);
+        if lo < hi {
+            let (boxed, class) = (self.boxed, self.class);
+            let state = &mut self.state;
+            let subtract = if boxed { !state.is_deque() } else { state.subtracts() };
+            let (folded, vals, cached) =
+                (&self.cache.folded, &self.cache.vals, &mut self.cache.boxed);
+            let mut n = 0;
+            let mut retire = |l: usize| {
+                n += 1;
+                if boxed {
+                    let v = cached.pop_front().expect("one cached value per folded span");
+                    if subtract {
+                        state.remove(&v);
+                    }
+                } else if subtract {
+                    state.remove_lane(class.expect("typed slides have an element class"), vals[l]);
                 }
-                true
+            };
+            if !boxed && !subtract {
+                n = count_set(folded, lo, hi);
+            } else if hi - lo < SHORT_RUN {
+                // Sliding windows retire a span or two per slide.
+                for l in lo..hi {
+                    if folded[l / 64] >> (l % 64) & 1 != 0 {
+                        retire(l);
+                    }
+                }
+            } else {
+                each_set(folded, lo, hi, retire);
             }
-            Folded::F(x) => {
-                if !self.state.is_deque() {
-                    self.state.remove_f(x);
-                }
-                true
-            }
-            Folded::I(x) => {
-                if !self.state.is_deque() {
-                    self.state.remove_i(x);
-                }
-                true
-            }
+            self.count -= n;
         }
-    }
-
-    fn fold(&mut self, value: &Value, expire: Time, fold: &mut FoldKind) -> Folded {
-        if value.is_null() {
-            return Folded::Skip;
-        }
-        match fold {
-            FoldKind::Dyn(map) => {
-                let mv = map(value);
-                if mv.is_null() {
-                    Folded::Skip
-                } else {
-                    self.state.add(&mv, expire);
-                    self.count += 1;
-                    Folded::Boxed(mv)
-                }
-            }
-            FoldKind::F(map) => match map(value) {
-                None => Folded::Skip,
-                Some(x) => {
-                    self.state.add_f(x, expire);
-                    self.count += 1;
-                    Folded::F(x)
-                }
-            },
-            FoldKind::I(map) => match map(value) {
-                None => Folded::Skip,
-                Some(x) => {
-                    self.state.add_i(x, expire);
-                    self.count += 1;
-                    Folded::I(x)
-                }
-            },
-        }
+        self.evict_idx = end;
+        self.cache.retire(end.min(self.enter_idx), self.enter_idx);
     }
 }
 
@@ -869,6 +1064,11 @@ mod tests {
 
     fn spec(op: ReduceOp, size: i64) -> ReduceSpec {
         ReduceSpec { op, obj: crate::ir::TObjId(0), lo: -size, hi: 0, map: None }
+    }
+
+    /// A typed slide with no fused map: source payloads unbox directly.
+    fn unmapped() -> TypedFold<'static> {
+        TypedFold { map: None, lanes: None }
     }
 
     fn eval_series(spec: &ReduceSpec, src: &SnapshotBuf<Value>, ts: &[i64]) -> Vec<Value> {
@@ -1046,7 +1246,7 @@ mod tests {
             assert_eq!(typr.fold_class(), Some(Class::F));
             for t in 1..=25 {
                 let d = dynr.eval_at_with(Time::new(t), &mut |v| v.clone());
-                typr.slide_f(Time::new(t), &mut |v| v.as_f64());
+                typr.slide_typed(Time::new(t), unmapped());
                 let ty = typr.result_f().map(Value::Float).unwrap_or(Value::Null);
                 assert_eq!(d, ty, "op {} t={t}", s.op.name());
             }
@@ -1057,7 +1257,7 @@ mod tests {
         let mut typr = ReduceRunner::with_elem_class(&s, &src, Some(Class::F));
         for t in 1..=25 {
             let d = dynr.eval_at_with(Time::new(t), &mut |v| v.clone());
-            typr.slide_f(Time::new(t), &mut |v| v.as_f64());
+            typr.slide_typed(Time::new(t), unmapped());
             let ty = typr.result_i().map(Value::Int).unwrap_or(Value::Null);
             assert_eq!(d, ty, "count t={t}");
         }
@@ -1068,7 +1268,7 @@ mod tests {
             let mut typr = ReduceRunner::with_elem_class(&s, &src, Some(Class::F));
             for t in 1..=25 {
                 let d = dynr.eval_at_with(Time::new(t), &mut |v| v.clone());
-                typr.slide_f(Time::new(t), &mut |v| v.as_f64());
+                typr.slide_typed(Time::new(t), unmapped());
                 let ty = typr.result_f().map(Value::Float).unwrap_or(Value::Null);
                 assert_eq!(d, ty, "op {} t={t}", s.op.name());
             }
@@ -1088,7 +1288,7 @@ mod tests {
             let res_class = typed_result_class(&s.op, Some(Class::I)).unwrap();
             for t in 1..=20 {
                 let d = dynr.eval_at_with(Time::new(t), &mut |v| v.clone());
-                typr.slide_i(Time::new(t), &mut |v| v.as_i64());
+                typr.slide_typed(Time::new(t), unmapped());
                 let ty = match res_class {
                     Class::F => typr.result_f().map(Value::Float).unwrap_or(Value::Null),
                     Class::I => typr.result_i().map(Value::Int).unwrap_or(Value::Null),

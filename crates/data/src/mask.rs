@@ -91,6 +91,19 @@ impl NullMask {
         }
     }
 
+    /// The packed flags: bit `i % 64` of word `i / 64` is slot `i`.
+    #[inline]
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// The packed flags, writable a word at a time. Callers keep the bits
+    /// past [`NullMask::len`] in the last word clear.
+    #[inline]
+    pub fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.words
+    }
+
     /// Resets every slot to null.
     pub fn set_all(&mut self) {
         self.words.fill(!0);

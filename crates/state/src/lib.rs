@@ -977,6 +977,7 @@ mod tests {
 
     #[test]
     fn every_truncation_of_a_file_errors_cleanly() {
+        let _guard = tilt_fault::Scenario::setup();
         let dir = std::env::temp_dir().join("tilt-state-test-trunc");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("snap.tilt");
@@ -1008,6 +1009,7 @@ mod tests {
 
     #[test]
     fn bit_flips_fail_the_checksum() {
+        let _guard = tilt_fault::Scenario::setup();
         let dir = std::env::temp_dir().join("tilt-state-test-flip");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("snap.tilt");
@@ -1027,6 +1029,7 @@ mod tests {
 
     #[test]
     fn trailing_bytes_and_wrong_versions_rejected() {
+        let _guard = tilt_fault::Scenario::setup();
         let dir = std::env::temp_dir().join("tilt-state-test-tail");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("snap.tilt");
@@ -1051,6 +1054,7 @@ mod tests {
 
     #[test]
     fn bundle_round_trip_and_kind_check() {
+        let _guard = tilt_fault::Scenario::setup();
         let dir = std::env::temp_dir().join("tilt-state-test-bundle");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("bundle.tilt");
@@ -1067,6 +1071,7 @@ mod tests {
 
     #[test]
     fn staged_write_publishes_only_on_finish() {
+        let _guard = tilt_fault::Scenario::setup();
         let dir = std::env::temp_dir().join("tilt-state-test-stage");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("snap.tiltsnp");
@@ -1127,6 +1132,7 @@ mod tests {
 
     #[test]
     fn lineage_numbers_validates_and_prunes() {
+        let _guard = tilt_fault::Scenario::setup();
         let dir = std::env::temp_dir().join("tilt-state-test-lineage");
         std::fs::remove_dir_all(&dir).ok();
         let lineage = Lineage::open(&dir, 2).unwrap();

@@ -86,7 +86,13 @@ pub fn factor_plan(window: i64, factor: i64) -> (LogicalPlan, NodeId) {
 /// Hash-partitions events by campaign into per-campaign event streams whose
 /// payload is the event type.
 pub fn partition(events: &[YsbEvent], campaigns: usize) -> Vec<Vec<Event<Value>>> {
-    let mut parts: Vec<Vec<Event<Value>>> = vec![Vec::new(); campaigns];
+    // Count first so every stream is allocated once at its exact size:
+    // the scatter then never reallocates and copies a growing stream.
+    let mut sizes = vec![0usize; campaigns];
+    for e in events {
+        sizes[(e.campaign as usize) % campaigns] += 1;
+    }
+    let mut parts: Vec<Vec<Event<Value>>> = sizes.into_iter().map(Vec::with_capacity).collect();
     for e in events {
         parts[(e.campaign as usize) % campaigns].push(Event::new(
             e.time - 1,

@@ -492,3 +492,123 @@ fn batched_tier_word_boundary_runs() {
         }
     }
 }
+
+/// The input shapes of [`window_fold_run_edges`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Shape {
+    /// A point event at every tick: spans are back to back, no φ.
+    Dense,
+    /// Point events separated by φ gaps of one to three ticks (the YSB
+    /// shape: a filtered stream partitioned by key).
+    Sparse,
+    /// Dense, but every fifth payload has the other numeric class.
+    WrongClass,
+}
+
+/// Builds `Where → windowed op` (or the bare window) over one input of
+/// `ty`. The optimizer fuses the filter into the window as its map.
+fn window_case(op: ReduceOp, ty: DataType, mapped: bool, width: i64, stride: i64) -> Query {
+    let mut b = Query::builder();
+    let x = b.input("x", ty.clone());
+    let src = if mapped {
+        let cut = match ty {
+            DataType::Float => Expr::c(0.5),
+            _ => Expr::c(0i64),
+        };
+        b.temporal(
+            "kept",
+            TDom::every_tick(),
+            Expr::if_else(Expr::at(x).gt(cut), Expr::at(x), Expr::null()),
+        )
+    } else {
+        x
+    };
+    let out = b.temporal("win", TDom::unbounded(stride), Expr::reduce_window(op, src, width));
+    b.finish(out).expect("well-formed")
+}
+
+/// Point events over ticks `1..=n` per `shape`. Float payloads cycle
+/// through magnitudes that make any reassociated sum round differently.
+fn run_edge_events(ty: &DataType, shape: Shape, n: i64) -> Vec<Event<Value>> {
+    const FLOATS: [f64; 7] = [1e16, 1.0, -1e16, 1.0, 0.25, -3.5, 0.0];
+    const INTS: [i64; 7] = [1_000_003, 3, -2, 0, 5, 7, -4];
+    let value = |i: usize, wrong: bool| match (ty, wrong) {
+        (DataType::Float, false) | (DataType::Int, true) => Value::Float(FLOATS[i % 7]),
+        _ => Value::Int(INTS[i % 7]),
+    };
+    let mut out = Vec::new();
+    let (mut t, mut i) = (1i64, 0usize);
+    while t <= n {
+        out.push(Event::point(Time::new(t), value(i, shape == Shape::WrongClass && i % 5 == 4)));
+        t += if shape == Shape::Sparse { 2 + (i % 3) as i64 } else { 1 };
+        i += 1;
+    }
+    out
+}
+
+/// Deterministic run-edge coverage for column-at-a-time window folds: every
+/// typed window op over `F` and `I`, with and without a fused filtering
+/// map, where each slide enters runs of exactly 1/63/64/65/256/257 spans
+/// (the lane word is 64, the run cap 256), tumbling and overlapping (whose
+/// evictions stop inside a cached 64-span word), over dense, sparse (φ
+/// gaps), and wrong-class input. Outputs must be byte-identical on every
+/// tier and the fused map must run exactly once per non-φ span that
+/// entered. Wrong-class payloads follow `Value`'s unboxing on the typed
+/// tiers and the interpreter's dynamic dispatch otherwise (see
+/// `tilt_core::codegen::compiled`), so that shape compares the two typed
+/// tiers only.
+#[test]
+fn window_fold_run_edges() {
+    let ops = [
+        ReduceOp::Sum,
+        ReduceOp::Count,
+        ReduceOp::Mean,
+        ReduceOp::StdDev,
+        ReduceOp::Product,
+        ReduceOp::Min,
+        ReduceOp::Max,
+    ];
+    for run in [1i64, 63, 64, 65, 256, 257] {
+        for stride in [run, (run + 2) / 3] {
+            for shape in [Shape::Dense, Shape::Sparse, Shape::WrongClass] {
+                for ty in [DataType::Float, DataType::Int] {
+                    // Dense input enters `stride` spans per slide; sparse
+                    // input needs twice the ticks for as many events.
+                    let n = 3 * run + 40;
+                    let events = run_edge_events(&ty, shape, n);
+                    let end = Time::new(n + run).align_up(stride);
+                    let range = TimeRange::new(Time::ZERO, end);
+                    let buf = SnapshotBuf::from_events(&events, range);
+                    let present =
+                        buf.spans().iter().filter(|s| !matches!(s.value, Value::Null)).count();
+                    for op in &ops {
+                        for mapped in [false, true] {
+                            let case = format!(
+                                "{} {ty:?} mapped={mapped} width={run} stride={stride} {shape:?}",
+                                op.name()
+                            );
+                            let q = window_case(op.clone(), ty.clone(), mapped, run, stride);
+                            let batched = Compiler::new().compile(&q).expect("compiles");
+                            assert_eq!(batched.batched_kernels(), batched.num_kernels(), "{case}");
+                            let per_tick = Compiler::new()
+                                .with_tier(ExecTier::Compiled)
+                                .compile(&q)
+                                .expect("compiles");
+                            let a = batched.run(&[&buf], range);
+                            let b = per_tick.run(&[&buf], range);
+                            assert_eq!(a, b, "batched vs per-tick diverged: {case}");
+                            if shape != Shape::WrongClass {
+                                let interp = Compiler::interpreted().compile(&q).expect("compiles");
+                                let c = interp.run(&[&buf], range);
+                                assert_eq!(b, c, "per-tick vs interpreted diverged: {case}");
+                            }
+                            let want = if mapped { present as u64 } else { 0 };
+                            assert_eq!(batched.map_runs(), want, "batched map runs: {case}");
+                            assert_eq!(per_tick.map_runs(), want, "per-tick map runs: {case}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
