@@ -1,7 +1,6 @@
-//! Per-kernel hot-loop throughput: interpreted vs per-tick typed vs
-//! batched typed tier.
+//! Per-kernel hot-loop throughput: interpreted vs batched typed tier.
 //!
-//! Three plans probe the three-tier execution model:
+//! Four plans probe the two-tier execution model:
 //!
 //! * `pointwise` — a fully fused numeric map/filter scoring chain (pure
 //!   per-tick scalar evaluation, where enum interpretation hurts most and
@@ -13,13 +12,13 @@
 //! * `filtered_count` — the YSB kernel: a filter fused into a tumbling
 //!   `Count` over sparse point events, so each slide enters a long run
 //!   of spans (φ gaps included) through the lane-gated window map;
-//! * `str_fallback` — a `Str`-driven filter, pinning that fallback
-//!   subtrees stay correct *and visible* in the fallback counters (and
-//!   are rejected by the batch gate).
+//! * `str_fallback` — a `Str`-driven filter, pinning that kernels the
+//!   typed compiler cannot take stay correct on the interpreter *and
+//!   visible* in the fallback counters.
 //!
 //! Tier measurements interleave round by round so shared-runner frequency
 //! drift cannot bias the ratios. Throughput is machine-dependent and only
-//! reported; the **machine-independent invariants** — all three tiers
+//! reported; the **machine-independent invariants** — both tiers
 //! byte-identical, fallback counters zero for the fully numeric plans,
 //! nonzero (with `fully_typed == false`) for the `Str` plan, and window
 //! maps executed at most once per accumulated element (`map_run_rate`) —
@@ -29,7 +28,7 @@
 use tilt_bench::json::Json;
 use tilt_bench::{best_throughput, fmt_meps, fmt_ratio, print_table, write_json_report, RunCfg};
 use tilt_core::ir::{DataType, Expr, Query, ReduceOp, TDom};
-use tilt_core::{CompiledQuery, Compiler, ExecTier};
+use tilt_core::{CompiledQuery, Compiler};
 use tilt_data::{Event, SnapshotBuf, Time, TimeRange, Value};
 
 /// A fused numeric map/filter scoring chain (the normalization/clamping
@@ -198,8 +197,8 @@ fn filtered_count_plan() -> Query {
     b.finish(counts).unwrap()
 }
 
-/// A `Str`-driven filter: the typed tier must route the comparison through
-/// its boxed fallback registers.
+/// A `Str`-driven filter: the typed compiler has no string registers, so
+/// the plan runs on the interpreter.
 fn str_fallback_plan() -> Query {
     let mut b = Query::builder();
     let s = b.input("s", DataType::Str);
@@ -253,12 +252,9 @@ struct PlanResult {
     kernels: usize,
     batched_kernels: usize,
     interp_meps: f64,
-    compiled_meps: f64,
     batched_meps: f64,
-    /// Per-tick typed output == interpreted output, byte for byte.
+    /// Batched output == interpreted output, byte for byte.
     outputs_identical: bool,
-    /// Batched output == per-tick typed output, byte for byte.
-    batched_identical: bool,
     fallback_ops: u64,
     fully_typed: bool,
     /// Fused window-map executions in one pass over `profiled_events`
@@ -274,29 +270,21 @@ struct PlanResult {
 
 fn run_plan(name: &'static str, q: &Query, events: &[Event<Value>], runs: usize) -> PlanResult {
     let batched = Compiler::new().compile(q).expect("plan compiles (batched)");
-    let compiled =
-        Compiler::new().with_tier(ExecTier::Compiled).compile(q).expect("plan compiles (typed)");
     let interp = Compiler::interpreted().compile(q).expect("plan compiles (interp)");
     let hi = events.last().expect("non-empty dataset").end;
     let range = TimeRange::new(Time::ZERO, (hi + 8).align_up(batched.grid()));
     let input = SnapshotBuf::from_events(events, range);
 
-    let out_b = batched.run(&[&input], range);
-    let out_c = compiled.run(&[&input], range);
-    let out_i = interp.run(&[&input], range);
-    let outputs_identical = out_c == out_i;
-    let batched_identical = out_b == out_c;
+    let outputs_identical = batched.run(&[&input], range) == interp.run(&[&input], range);
 
     // Interleave the tiers round by round so frequency drift on a shared
     // runner cannot systematically favor whichever tier ran later.
     let one =
         |cq: &CompiledQuery| best_throughput(events.len(), 1, || cq.run(&[&input], range).len());
     let mut interp_meps = 0f64;
-    let mut compiled_meps = 0f64;
     let mut batched_meps = 0f64;
     for _ in 0..runs.max(1) {
         interp_meps = interp_meps.max(one(&interp));
-        compiled_meps = compiled_meps.max(one(&compiled));
         batched_meps = batched_meps.max(one(&batched));
     }
 
@@ -312,11 +300,9 @@ fn run_plan(name: &'static str, q: &Query, events: &[Event<Value>], runs: usize)
         kernels: batched.num_kernels(),
         batched_kernels: batched.batched_kernels(),
         interp_meps,
-        compiled_meps,
         batched_meps,
         outputs_identical,
-        batched_identical,
-        fallback_ops: compiled.fallback_ops() + batched.fallback_ops(),
+        fallback_ops: batched.fallback_ops(),
         fully_typed: batched.fully_typed(),
         map_runs: profiled.map_runs(),
         profile,
@@ -344,30 +330,26 @@ fn main() {
                 r.name.to_string(),
                 format!("{}/{}", r.batched_kernels, r.kernels),
                 fmt_meps(r.interp_meps),
-                fmt_meps(r.compiled_meps),
                 fmt_meps(r.batched_meps),
-                fmt_ratio(r.compiled_meps / r.interp_meps),
-                fmt_ratio(r.batched_meps / r.compiled_meps),
-                (r.outputs_identical && r.batched_identical).to_string(),
+                fmt_ratio(r.batched_meps / r.interp_meps),
+                r.outputs_identical.to_string(),
                 r.fallback_ops.to_string(),
                 r.fully_typed.to_string(),
             ]
         })
         .collect();
     print_table(
-        "kernel_hot — interpreter vs per-tick typed vs batched typed (million events/sec)",
+        "kernel_hot — interpreter vs batched typed (million events/sec)",
         &format!(
-            "{} events/plan, single worker; outputs must be byte-identical across all tiers",
+            "{} events/plan, single worker; outputs must be byte-identical across both tiers",
             cfg.events
         ),
         &[
             "plan",
             "batched/kernels",
             "interp",
-            "per_tick",
             "batched",
-            "typed_speedup",
-            "batch_speedup",
+            "speedup",
             "identical",
             "fallback_ops",
             "fully_typed",
@@ -385,12 +367,9 @@ fn main() {
                         ("kernels", r.kernels.into()),
                         ("batched_kernels", r.batched_kernels.into()),
                         ("interp_meps", r.interp_meps.into()),
-                        ("compiled_meps", r.compiled_meps.into()),
                         ("batched_meps", r.batched_meps.into()),
-                        ("speedup", (r.compiled_meps / r.interp_meps).into()),
-                        ("batched_speedup", (r.batched_meps / r.compiled_meps).into()),
+                        ("speedup", (r.batched_meps / r.interp_meps).into()),
                         ("outputs_identical", r.outputs_identical.into()),
-                        ("batched_outputs_identical", r.batched_identical.into()),
                         ("fallback_ops", r.fallback_ops.into()),
                         ("fully_typed", r.fully_typed.into()),
                         ("map_runs", r.map_runs.into()),
@@ -406,9 +385,7 @@ fn main() {
                                             as f64;
                                         Json::obj([
                                             ("kernel", k.name.as_str().into()),
-                                            ("compiled", k.compiled.into()),
                                             ("batched", k.batched.into()),
-                                            ("fully_typed", k.fully_typed.into()),
                                             ("invocations", k.invocations.into()),
                                             ("nanos", k.nanos.into()),
                                             ("ns_per_op", (k.nanos as f64 / per_ev).into()),

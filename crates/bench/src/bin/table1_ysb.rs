@@ -4,7 +4,8 @@
 //! Trill 34.07, StreamBox 167.19, Grizzly 118.74, LightSaber 296.40;
 //! TiLT peaks at 450 (Fig. 8b). The claim reproduced here is the *ordering*
 //! (interpreted Trill slowest; TiLT at or above the compiled baselines)
-//! rather than the absolute numbers (see DESIGN.md substitutions 1 & 3).
+//! rather than the absolute numbers: TiLT runs typed bytecode instead of
+//! LLVM code, and the baselines are in-repo Rust re-implementations.
 
 use tilt_bench::{best_throughput, fmt_meps, print_table, RunCfg};
 use tilt_workloads::ysb;

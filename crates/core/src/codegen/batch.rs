@@ -1,14 +1,14 @@
-//! Batched (third-tier) kernel bodies: each bytecode op runs over a *run*
-//! of lanes at once.
+//! The batched tier: each bytecode op runs over a *run* of lanes at once.
 //!
-//! The per-tick typed tier already killed boxing, but it still pays one
-//! dispatch (one `match` on [`Instr`]) per instruction per tick. Dense
-//! stretches — sampled kernels, `every_tick` domains under steady input —
-//! execute the same short straight-line body thousands of times in a row,
-//! so the dispatch dominates. This module amortizes it: the kernel driver
-//! collects up to [`MAX_BATCH`] consecutive ticks whose stepping is dense,
-//! and [`BatchCtx::exec`] runs each instruction once over all lanes as a
-//! plain `f64`/`i64` slice loop the compiler auto-vectorizes.
+//! Typed bytecode (`super::compiled`) kills boxing, but executed one tick
+//! at a time it would still pay one dispatch (one `match` on [`Instr`]) per
+//! instruction per tick. Dense stretches — sampled kernels, `every_tick`
+//! domains under steady input — execute the same short straight-line body
+//! thousands of times in a row, so the dispatch would dominate. This module
+//! amortizes it: the kernel driver collects up to [`MAX_BATCH`] consecutive
+//! ticks whose stepping is dense, and [`BatchCtx::exec`] runs each
+//! instruction once over all lanes as a plain `f64`/`i64` slice loop the
+//! compiler auto-vectorizes.
 //!
 //! The same executor runs fused window maps over *spans*: a window slide
 //! hands [`BatchCtx::map_run`] the run of source spans entering the
@@ -28,20 +28,20 @@
 //!
 //! Lane-wise semantics are *identical* to the scalar [`exec`] loop — same
 //! IEEE ops, same wrapping integer ops, same Kleene logic, same bitwise
-//! float equality — so batched output is byte-identical to the per-tick
-//! tier. Value slots of φ lanes may hold garbage (float ops compute on
-//! them unconditionally, exactly like the scalar tier's branch-free float
-//! arms); the mask makes that unobservable. Integer ops that can trap
-//! (`Div`/`Rem`/`Pow`, `NegI`/`AbsI` overflow) skip φ lanes so garbage
-//! never reaches an operation the scalar tier would not have executed.
+//! float equality — and to the interpreter's `Value` ops, so batched output
+//! is byte-identical to the interpreted tier. Value slots of φ lanes may
+//! hold garbage (float ops compute on them unconditionally); the mask makes
+//! that unobservable. Integer ops that can trap (`Div`/`Rem`/`Pow`,
+//! `NegI`/`AbsI` overflow) skip φ lanes so garbage never reaches an
+//! operation a per-tick evaluation would not have executed.
 //!
-//! Not every typed body can batch: [`batchable`] admits only fully typed,
-//! branch-free, def-before-use straight-line bodies whose reduce slots
-//! take the unboxed accumulate path. Everything else transparently runs
-//! the per-tick tier — the gate is a static property of the plan, checked
-//! once at compile time. Fused maps pass the same gate on their own
-//! ([`FoldMode::lanes`]); a map it rejects runs its scalar bytecode per
-//! lane inside the same run loop.
+//! [`batchable`] is the gate: it admits only def-before-use bodies whose
+//! operands never alias their destination (the aliasing rule [`BatchCtx`]'s
+//! in-place column updates rely on) and whose reduce slots take the
+//! unboxed accumulate path. Everything else runs on the interpreter — the
+//! gate is a static property of the plan, checked once at compile time.
+//! Fused maps pass the same gate on their own ([`FoldMode::lanes`]); a map
+//! it rejects runs its scalar bytecode per lane inside the same run loop.
 //!
 //! [`exec`]: super::compiled::exec
 
@@ -54,18 +54,14 @@ use super::reduce::FoldMode;
 /// (tens of registers) inside L1 while amortizing dispatch ~256×.
 pub(crate) const MAX_BATCH: usize = 256;
 
-/// Whether the typed body can execute on the batched tier: fully typed
-/// (no `V` registers), straight-line (no jumps or branches), every
-/// register defined before use within a tick, every operand distinct from
-/// its instruction's destination, and every live reduce slot on the
-/// unboxed fold/result path described by `modes` (see
+/// Whether the typed body can execute on the batched tier: every register
+/// defined before use within a tick, every operand distinct from its
+/// instruction's destination, and every live reduce slot on the unboxed
+/// fold/result path described by `modes` (see
 /// [`super::reduce::typed_fold_class`]). Also sets each typed slot's
 /// [`FoldMode::lanes`]: whether its fused map passes the same checks
 /// with only the prelude and its element register live.
 pub(crate) fn batchable(tp: &TypedProgram, modes: &mut [Option<FoldMode>]) -> bool {
-    if !tp.is_fully_typed() {
-        return false;
-    }
     for (i, reg) in tp.reduce_regs.iter().enumerate() {
         let Some(reg) = reg else { continue };
         let Some(mode) = modes.get(i).copied().flatten() else {
@@ -103,7 +99,7 @@ impl Init {
             Class::F => &mut self.f,
             Class::I => &mut self.i,
             Class::B => &mut self.b,
-            Class::V => unreachable!("V registers rejected before def tracking"),
+            Class::V => unreachable!("typed programs allocate no V register"),
         }
     }
 
@@ -117,9 +113,8 @@ impl Init {
 }
 
 /// Walks the prelude, then each fused map, then the body in order,
-/// proving them straight-line, whitelisted, and def-before-use with
-/// operands distinct from destinations. A map that fails only clears its
-/// slot's [`FoldMode::lanes`].
+/// proving them def-before-use with operands distinct from destinations.
+/// A map that fails only clears its slot's [`FoldMode::lanes`].
 fn body_ok(tp: &TypedProgram, modes: &mut [Option<FoldMode>]) -> bool {
     let mut init = Init {
         f: vec![false; tp.n_f as usize],
@@ -133,7 +128,7 @@ fn body_ok(tp: &TypedProgram, modes: &mut [Option<FoldMode>]) -> bool {
             Instr::ConstF { dst, .. } => init.def(Class::F, *dst),
             Instr::ConstI { dst, .. } => init.def(Class::I, *dst),
             Instr::ConstB { dst, .. } => init.def(Class::B, *dst),
-            Instr::Null { dst } if dst.class != Class::V => init.def(dst.class, dst.idx),
+            Instr::Null { dst } => init.def(dst.class, dst.idx),
             _ => return false,
         }
     }
@@ -142,16 +137,11 @@ fn body_ok(tp: &TypedProgram, modes: &mut [Option<FoldMode>]) -> bool {
     // alias the body's or each other's.
     for (map, mode) in tp.typed_maps.iter().zip(modes.iter_mut()) {
         if let (Some(map), Some(mode)) = (map, mode) {
-            mode.lanes = map.var.class != Class::V && {
-                init.def(map.var.class, map.var.idx);
-                map.instrs.iter().all(|ins| step(ins, &mut init))
-            };
+            init.def(map.var.class, map.var.idx);
+            mode.lanes = map.instrs.iter().all(|ins| step(ins, &mut init));
         }
     }
     for r in tp.point_regs.iter().chain(&tp.reduce_regs).flatten() {
-        if r.class == Class::V {
-            return false;
-        }
         init.def(r.class, r.idx);
     }
     tp.instrs.iter().all(|ins| step(ins, &mut init))
@@ -173,13 +163,8 @@ fn step(ins: &Instr, init: &mut Init) -> bool {
         Instr::ConstF { dst, .. } => chk(&[], (F, *dst)),
         Instr::ConstI { dst, .. } => chk(&[], (I, *dst)),
         Instr::ConstB { dst, .. } => chk(&[], (B, *dst)),
-        Instr::Null { dst } => dst.class != Class::V && chk(&[], (dst.class, dst.idx)),
+        Instr::Null { dst } => chk(&[], (dst.class, dst.idx)),
         Instr::Time { dst } => chk(&[], (I, *dst)),
-        Instr::Mov { src, dst } => {
-            src.class == dst.class
-                && src.class != Class::V
-                && chk(&[(src.class, src.idx)], (dst.class, dst.idx))
-        }
         Instr::ArithF { a, b, dst, .. } => chk(&[(F, *a), (F, *b)], (F, *dst)),
         Instr::ArithI { a, b, dst, .. } => chk(&[(I, *a), (I, *b)], (I, *dst)),
         Instr::ArithFC { a, dst, .. } => chk(&[(F, *a)], (F, *dst)),
@@ -202,11 +187,8 @@ fn step(ins: &Instr, init: &mut Init) -> bool {
         Instr::NegI { a, dst } | Instr::AbsI { a, dst } => chk(&[(I, *a)], (I, *dst)),
         Instr::I2F { a, dst } => chk(&[(I, *a)], (F, *dst)),
         Instr::F2I { a, dst } => chk(&[(F, *a)], (I, *dst)),
-        Instr::IsNull { a, dst } => a.class != Class::V && chk(&[(a.class, a.idx)], (B, *dst)),
+        Instr::IsNull { a, dst } => chk(&[(a.class, a.idx)], (B, *dst)),
         Instr::Select { cond, t, f, dst } => {
-            if dst.class == Class::V {
-                return false;
-            }
             let mut reads = vec![(B, *cond)];
             for src in [t, f].into_iter().flatten() {
                 if src.class != dst.class {
@@ -216,16 +198,6 @@ fn step(ins: &Instr, init: &mut Init) -> bool {
             }
             chk(&reads, (dst.class, dst.idx))
         }
-        // Boxed traffic and control flow stay per-tick.
-        Instr::ConstV { .. }
-        | Instr::Box { .. }
-        | Instr::BinV { .. }
-        | Instr::UnV { .. }
-        | Instr::Field { .. }
-        | Instr::MakeTuple { .. }
-        | Instr::Jump { .. }
-        | Instr::Branch { .. }
-        | Instr::BranchV { .. } => false,
     }
 }
 
@@ -516,7 +488,7 @@ impl BatchCtx {
                 let null = self.nb[var].words_mut();
                 load_run(run, &mut self.b[c..c + k], null, &mut present, Value::as_bool);
             }
-            Class::V => unreachable!("the lane gate rejects boxed map elements"),
+            Class::V => unreachable!("typed programs allocate no V register"),
         }
         self.exec(&map.instrs, t, 0, k);
         let words = k.div_ceil(64);
@@ -571,7 +543,7 @@ impl BatchCtx {
                     Class::F => self.nf[dst.idx as usize].set_range(0, k, true),
                     Class::I => self.ni[dst.idx as usize].set_range(0, k, true),
                     Class::B => self.nb[dst.idx as usize].set_range(0, k, true),
-                    Class::V => unreachable!("V register in batched body"),
+                    Class::V => unreachable!("typed programs allocate no V register"),
                 },
                 Instr::Time { dst } => {
                     let dcol = &mut self.i[*dst as usize * cap..][..k];
@@ -580,27 +552,6 @@ impl BatchCtx {
                     }
                     self.ni[*dst as usize].set_range(0, k, false);
                 }
-                Instr::Mov { src, dst } => match (src.class, dst.class) {
-                    (Class::F, Class::F) => {
-                        let (d, h, t_) = split_dst(&mut self.f, cap, dst.idx);
-                        d[..k].copy_from_slice(&pick(h, t_, cap, dst.idx, src.idx)[..k]);
-                        self.scratch.copy_from(&self.nf[src.idx as usize], k);
-                        std::mem::swap(&mut self.nf[dst.idx as usize], &mut self.scratch);
-                    }
-                    (Class::I, Class::I) => {
-                        let (d, h, t_) = split_dst(&mut self.i, cap, dst.idx);
-                        d[..k].copy_from_slice(&pick(h, t_, cap, dst.idx, src.idx)[..k]);
-                        self.scratch.copy_from(&self.ni[src.idx as usize], k);
-                        std::mem::swap(&mut self.ni[dst.idx as usize], &mut self.scratch);
-                    }
-                    (Class::B, Class::B) => {
-                        let (d, h, t_) = split_dst(&mut self.b, cap, dst.idx);
-                        d[..k].copy_from_slice(&pick(h, t_, cap, dst.idx, src.idx)[..k]);
-                        self.scratch.copy_from(&self.nb[src.idx as usize], k);
-                        std::mem::swap(&mut self.nb[dst.idx as usize], &mut self.scratch);
-                    }
-                    _ => unreachable!("mixed-class Mov in batched body"),
-                },
                 Instr::ArithF { op, a, b, dst } => {
                     // Branch-free like the scalar float arm: compute on
                     // every lane (garbage included), φ rides the mask.
@@ -908,7 +859,7 @@ impl BatchCtx {
                         Class::F => &self.nf[a.idx as usize],
                         Class::I => &self.ni[a.idx as usize],
                         Class::B => &self.nb[a.idx as usize],
-                        Class::V => unreachable!("V register in batched body"),
+                        Class::V => unreachable!("typed programs allocate no V register"),
                     };
                     let d = &mut self.b[*dst as usize * cap..][..k];
                     if mask.none_null(k) {
@@ -959,19 +910,8 @@ impl BatchCtx {
                             select_lanes(k, ccol, cmask, src(*t), src(*f), d, &mut self.scratch);
                             std::mem::swap(&mut self.nb[dst.idx as usize], &mut self.scratch);
                         }
-                        Class::V => unreachable!("V register in batched body"),
+                        Class::V => unreachable!("typed programs allocate no V register"),
                     }
-                }
-                Instr::ConstV { .. }
-                | Instr::Box { .. }
-                | Instr::BinV { .. }
-                | Instr::UnV { .. }
-                | Instr::Field { .. }
-                | Instr::MakeTuple { .. }
-                | Instr::Jump { .. }
-                | Instr::Branch { .. }
-                | Instr::BranchV { .. } => {
-                    unreachable!("instruction rejected by the batch gate")
                 }
             }
         }

@@ -1,42 +1,35 @@
-//! The typed compilation tier: monomorphized register bytecode (paper §6.1,
-//! "compiled" execution; see DESIGN.md substitution 1).
+//! The typed compiler: monomorphized register bytecode (paper §6.1,
+//! "compiled" execution, standing in for the paper's LLVM backend).
 //!
-//! The closure-compiled [`Program`](super::Program) still interprets every
+//! The closure-compiled [`Program`](super::Program) interprets every
 //! operation over the dynamic [`Value`] enum — each node matches on tags and
-//! clones payloads. This module adds the tier the paper's LLVM backend
-//! provides: the type checker assigns every sub-expression a static type,
-//! and the body is lowered once into a small register bytecode over four
-//! register classes:
+//! clones payloads. This module lowers the same body once into a small
+//! straight-line register bytecode: the type checker assigns every
+//! sub-expression a static type, and every value lives in one of three
+//! unboxed register files (`f64`/`i64`/`bool`, class `F`/`I`/`B`) with an
+//! out-of-band [`NullMask`] carrying φ. The batched tier (`super::batch`)
+//! executes this bytecode over runs of ticks; the scalar [`exec`] here runs
+//! the constant prelude and fused window maps one element at a time.
 //!
-//! * `F`/`I`/`B` — unboxed `f64`/`i64`/`bool` register files with an
-//!   out-of-band [`NullMask`] carrying φ, so the numeric hot path never
-//!   touches the enum;
-//! * `V` — boxed [`Value`] registers, the *precise* fallback for `Str` and
-//!   `Tuple` subtrees, [`crate::ir::ReduceOp::Custom`] results, and values
-//!   whose runtime type is genuinely dynamic (e.g. an `if` whose branches
-//!   promote `int` against `float`: the taken branch's unpromoted value is
-//!   observable, so the result must stay boxed to match the interpreter
-//!   bit-for-bit).
+//! `if`/`else` is **if-converted**: both branches execute unconditionally
+//! and one [`Instr::Select`] picks the taken value, which is invisible
+//! because every typed instruction only writes its own fresh destination
+//! and the branches may not trap ([`speculatable`]). A subtree the bytecode
+//! cannot express fails [`compile_typed`] and its whole kernel stays on the
+//! interpreter: `Str` and `Tuple` values, custom reductions, an `if` whose
+//! branches differ in class (the taken branch's unpromoted value is
+//! observable), and an `if` with a branch that could trap. Boxed `V`
+//! registers do not exist; `Class::V` only marks objects produced by such
+//! interpreted kernels, and [`TypedCompiler::alloc`] rejects it.
 //!
-//! Every enum-touching operation counts into
-//! [`TypedCtx::fallback_ops`]; a fully numeric plan compiles with zero `V`
-//! registers ([`TypedProgram::is_fully_typed`]) and its counter stays zero —
-//! the `kernel_hot` bench guardrail pins this. Compiled and interpreted
-//! tiers are *byte-identical* on well-typed data: the differential property
-//! suite (`tests/compiled_tier_properties.rs`) compares them span by span.
-//!
-//! When lowering for the batched tier (`speculate` in [`compile_typed`]),
-//! `if`/`else` bodies whose instructions are side-effect-free and
-//! non-trapping are **if-converted**: both branches execute
-//! unconditionally and a single [`Instr::Select`] picks the taken value,
-//! yielding straight-line bytecode the batch gate (`super::batch`) can
-//! admit. The per-tick tier lowers with speculation off, so its bytecode
-//! keeps the branchy reference shape.
-//! Payloads that violate their declared input type follow [`Value`]'s
-//! unboxing semantics on the typed path — `Int` on a `Float` input coerces
-//! ([`Value::as_f64`]), anything else reads as φ — instead of reproducing
-//! the interpreter's dynamic-dispatch quirks; ingestion owns the contract
-//! that event payloads match their declared types.
+//! Typed and interpreted kernels are *byte-identical* on well-typed data:
+//! the differential property suite (`tests/compiled_tier_properties.rs`)
+//! compares them span by span. Payloads that violate their declared input
+//! type follow [`Value`]'s unboxing semantics on the typed path — `Int` on
+//! a `Float` input coerces ([`Value::as_f64`]), anything else reads as φ —
+//! instead of reproducing the interpreter's dynamic-dispatch quirks;
+//! ingestion owns the contract that event payloads match their declared
+//! types.
 
 use std::collections::HashMap;
 
@@ -56,7 +49,8 @@ pub(crate) enum Class {
     I,
     /// Unboxed `bool`.
     B,
-    /// Boxed [`Value`] (the fallback class).
+    /// Boxed [`Value`]: the class of an object whose kernel runs on the
+    /// interpreter. No typed register has it.
     V,
 }
 
@@ -184,7 +178,7 @@ impl CmpOp {
 }
 
 /// One typed instruction. Register operands are indices into the class
-/// files of [`TypedCtx`]; control flow uses absolute instruction indices.
+/// files of [`TypedCtx`]; programs are straight-line.
 #[derive(Clone, Debug)]
 pub(super) enum Instr {
     ConstF {
@@ -199,26 +193,12 @@ pub(super) enum Instr {
         dst: u16,
         v: bool,
     },
-    ConstV {
-        dst: u16,
-        v: Box<Value>,
-    },
     /// Sets `dst` to φ.
     Null {
         dst: Reg,
     },
     /// Loads the evaluation time into an `I` register.
     Time {
-        dst: u16,
-    },
-    /// Same-class register copy.
-    Mov {
-        src: Reg,
-        dst: Reg,
-    },
-    /// Boxes a typed register into a `V` register.
-    Box {
-        src: Reg,
         dst: u16,
     },
     ArithF {
@@ -377,52 +357,11 @@ pub(super) enum Instr {
         a: Reg,
         dst: u16,
     },
-    /// Dynamic binary op over boxed operands (fallback arm): boxes both
-    /// sides, applies the `Value` op, stores per `dst` class.
-    BinV {
-        op: BinOp,
-        a: Reg,
-        b: Reg,
-        dst: Reg,
-    },
-    /// Dynamic unary op over a boxed operand (fallback arm).
-    UnV {
-        op: UnOp,
-        a: u16,
-        dst: Reg,
-    },
-    /// Tuple field projection out of a `V` register.
-    Field {
-        a: u16,
-        idx: usize,
-        dst: u16,
-    },
-    /// Tuple construction from (possibly φ) typed parts.
-    MakeTuple {
-        parts: Box<[Option<Reg>]>,
-        dst: u16,
-    },
-    Jump {
-        target: u32,
-    },
-    /// Three-way branch on a `B` register: fall through on `true`.
-    Branch {
-        cond: u16,
-        on_false: u32,
-        on_null: u32,
-    },
-    /// Three-way branch on a boxed condition (dynamic `if`).
-    BranchV {
-        cond: u16,
-        on_false: u32,
-        on_null: u32,
-    },
 }
 
-/// The runtime register files of a compiled typed program.
+/// The scalar register files of a compiled typed program.
 ///
-/// φ lives in per-class [`NullMask`]s for the unboxed files; `V` registers
-/// carry it inline as [`Value::Null`]. Registers persist across ticks, like
+/// φ lives in per-class [`NullMask`]s. Registers persist across ticks, like
 /// the interpreter's [`super::EvalCtx`] slots.
 #[derive(Clone, Debug)]
 pub(crate) struct TypedCtx {
@@ -431,12 +370,9 @@ pub(crate) struct TypedCtx {
     f: Vec<f64>,
     i: Vec<i64>,
     b: Vec<bool>,
-    v: Vec<Value>,
     nf: NullMask,
     ni: NullMask,
     nb: NullMask,
-    /// Executions of enum-touching (fallback) operations since creation.
-    pub(crate) fallback_ops: u64,
     /// Executions of fused window maps since creation — the observable for
     /// the map-once-per-element invariant (Subtract-on-Evict must *not*
     /// re-run maps; see `super::reduce`).
@@ -483,7 +419,7 @@ impl TypedCtx {
             Class::F => self.nf.set(r.idx as usize, true),
             Class::I => self.ni.set(r.idx as usize, true),
             Class::B => self.nb.set(r.idx as usize, true),
-            Class::V => self.v[r.idx as usize] = Value::Null,
+            Class::V => unreachable!("typed programs allocate no V register"),
         }
     }
 
@@ -494,108 +430,45 @@ impl TypedCtx {
             Class::F => self.nf.get(r.idx as usize),
             Class::I => self.ni.get(r.idx as usize),
             Class::B => self.nb.get(r.idx as usize),
-            Class::V => matches!(self.v[r.idx as usize], Value::Null),
+            Class::V => unreachable!("typed programs allocate no V register"),
         }
     }
 
-    /// Boxes a register's current content.
+    /// Copies `src`'s value and φ flag into `dst` (same class).
     #[inline]
-    fn read_value(&self, r: Reg) -> Value {
-        match r.class {
-            Class::F => {
-                let (x, n) = self.get_f(r.idx);
-                if n {
-                    Value::Null
-                } else {
-                    Value::Float(x)
-                }
+    fn copy(&mut self, src: Reg, dst: Reg) {
+        match (src.class, dst.class) {
+            (Class::F, Class::F) => {
+                let (x, n) = self.get_f(src.idx);
+                self.f[dst.idx as usize] = x;
+                self.nf.set(dst.idx as usize, n);
             }
-            Class::I => {
-                let (x, n) = self.get_i(r.idx);
-                if n {
-                    Value::Null
-                } else {
-                    Value::Int(x)
-                }
+            (Class::I, Class::I) => {
+                let (x, n) = self.get_i(src.idx);
+                self.i[dst.idx as usize] = x;
+                self.ni.set(dst.idx as usize, n);
             }
-            Class::B => {
-                let (x, n) = self.get_b(r.idx);
-                if n {
-                    Value::Null
-                } else {
-                    Value::Bool(x)
-                }
+            (Class::B, Class::B) => {
+                let (x, n) = self.get_b(src.idx);
+                self.b[dst.idx as usize] = x;
+                self.nb.set(dst.idx as usize, n);
             }
-            Class::V => self.v[r.idx as usize].clone(),
+            _ => unreachable!("typed copies are same-class"),
         }
     }
 
-    /// Unboxes `v` into `r` (φ on class mismatch, with int → float
-    /// coercion on the `F` file, mirroring [`Value::as_f64`]).
-    #[inline]
-    pub(crate) fn store_value(&mut self, r: Reg, v: Value) {
-        match r.class {
-            Class::F => match v.as_f64() {
-                Some(x) => self.set_f(r.idx, x),
-                None => self.nf.set(r.idx as usize, true),
-            },
-            Class::I => match v.as_i64() {
-                Some(x) => self.set_i(r.idx, x),
-                None => self.ni.set(r.idx as usize, true),
-            },
-            Class::B => match v.as_bool() {
-                Some(x) => self.set_b(r.idx, x),
-                None => self.nb.set(r.idx as usize, true),
-            },
-            // Counting happens at the operation sites (BinV, loads, …),
-            // not here, so one dynamic op is one fallback op.
-            Class::V => self.v[r.idx as usize] = v,
-        }
-    }
-
-    /// Like [`TypedCtx::store_value`] but by reference (point loads, map
-    /// elements): unboxed classes never clone the payload.
+    /// Loads a payload into `r` by reference (φ on class mismatch, with
+    /// int → float coercion on the `F` file, mirroring [`Value::as_f64`]).
     #[inline]
     pub(crate) fn load_value(&mut self, r: Reg, v: &Value) {
-        match r.class {
-            Class::F => self.store_f64(r, v.as_f64()),
-            Class::I => self.store_i64(r, v.as_i64()),
-            Class::B => self.store_bool(r, v.as_bool()),
-            Class::V => {
-                self.fallback_ops += 1;
-                self.v[r.idx as usize] = v.clone();
-            }
-        }
-    }
-
-    /// Stores an already-unboxed float (`None` = φ) — the typed point-load
-    /// fast path.
-    #[inline]
-    pub(crate) fn store_f64(&mut self, r: Reg, v: Option<f64>) {
-        debug_assert_eq!(r.class, Class::F);
-        match v {
-            Some(x) => self.set_f(r.idx, x),
-            None => self.nf.set(r.idx as usize, true),
-        }
-    }
-
-    /// Stores an already-unboxed integer (`None` = φ).
-    #[inline]
-    pub(crate) fn store_i64(&mut self, r: Reg, v: Option<i64>) {
-        debug_assert_eq!(r.class, Class::I);
-        match v {
-            Some(x) => self.set_i(r.idx, x),
-            None => self.ni.set(r.idx as usize, true),
-        }
-    }
-
-    /// Stores an already-unboxed boolean (`None` = φ).
-    #[inline]
-    pub(crate) fn store_bool(&mut self, r: Reg, v: Option<bool>) {
-        debug_assert_eq!(r.class, Class::B);
-        match v {
-            Some(x) => self.set_b(r.idx, x),
-            None => self.nb.set(r.idx as usize, true),
+        let loaded = match r.class {
+            Class::F => v.as_f64().map(|x| self.set_f(r.idx, x)),
+            Class::I => v.as_i64().map(|x| self.set_i(r.idx, x)),
+            Class::B => v.as_bool().map(|x| self.set_b(r.idx, x)),
+            Class::V => unreachable!("typed programs allocate no V register"),
+        };
+        if loaded.is_none() {
+            self.set_null(r);
         }
     }
 }
@@ -617,23 +490,11 @@ impl TypedMap {
     pub(crate) fn fold_class(&self) -> Option<Class> {
         self.root.map(|r| r.class)
     }
-}
 
-impl TypedMap {
-    /// Applies the map to one window element (`Value::Null` = skip).
-    pub(crate) fn run(&self, ctx: &mut TypedCtx, elem: &Value) -> Value {
-        ctx.map_runs += 1;
-        ctx.load_value(self.var, elem);
-        exec(&self.instrs, ctx);
-        match self.root {
-            Some(r) => ctx.read_value(r),
-            None => Value::Null,
-        }
-    }
-
-    /// Applies the map and reads the root as an unboxed `f64` (`None` = φ)
-    /// — the typed reduce fold path when [`TypedMap::fold_class`] is
-    /// `Some(Class::F)`. No boxed `Value` is built on either side.
+    /// Applies the map to one window element and reads the root as an
+    /// unboxed `f64` (`None` = φ) — the typed reduce fold path when
+    /// [`TypedMap::fold_class`] is `Some(Class::F)`. No boxed `Value` is
+    /// built on either side.
     pub(crate) fn run_f64(&self, ctx: &mut TypedCtx, elem: &Value) -> Option<f64> {
         ctx.map_runs += 1;
         ctx.load_value(self.var, elem);
@@ -669,14 +530,13 @@ impl TypedMap {
 pub(crate) struct TypedProgram {
     /// Constant materialization, executed **once** per register file
     /// ([`TypedProgram::new_ctx`]) — constants never burn a dispatch in the
-    /// per-tick loop.
+    /// per-run loop.
     pub(super) prelude: Vec<Instr>,
     pub(super) instrs: Vec<Instr>,
     pub(super) root: Option<Reg>,
     pub(super) n_f: u16,
     pub(super) n_i: u16,
     pub(super) n_b: u16,
-    n_v: u16,
     /// Destination register per point slot of the paired [`Program`]
     /// (`None` when the body never reads the slot's value — the kernel
     /// still advances its cursor for change-point stepping).
@@ -698,31 +558,13 @@ impl TypedProgram {
             f: vec![0.0; self.n_f as usize],
             i: vec![0; self.n_i as usize],
             b: vec![false; self.n_b as usize],
-            v: vec![Value::Null; self.n_v as usize],
             nf: NullMask::new(self.n_f as usize),
             ni: NullMask::new(self.n_i as usize),
             nb: NullMask::new(self.n_b as usize),
-            fallback_ops: 0,
             map_runs: 0,
         };
         exec(&self.prelude, &mut ctx);
         ctx
-    }
-
-    /// Executes the program against a prepared context and boxes the root.
-    #[inline]
-    pub(crate) fn run(&self, ctx: &mut TypedCtx) -> Value {
-        exec(&self.instrs, ctx);
-        match self.root {
-            Some(r) => ctx.read_value(r),
-            None => Value::Null,
-        }
-    }
-
-    /// Whether the plan never touches the dynamic enum: no `V` registers
-    /// were allocated, so every fallback arm is unreachable.
-    pub(crate) fn is_fully_typed(&self) -> bool {
-        self.n_v == 0
     }
 
     /// The register class of the kernel's output values (what downstream
@@ -736,406 +578,229 @@ impl std::fmt::Debug for TypedProgram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TypedProgram")
             .field("instrs", &self.instrs.len())
-            .field("regs", &(self.n_f, self.n_i, self.n_b, self.n_v))
-            .field("fully_typed", &self.is_fully_typed())
+            .field("regs", &(self.n_f, self.n_i, self.n_b))
             .finish()
     }
 }
 
-/// Executes one instruction sequence over `ctx`.
-///
-/// Straight-line stretches run through a slice iterator (no per-instruction
-/// bounds check); taken jumps restart the iterator at their target.
+/// Executes one straight-line instruction sequence over `ctx`.
 pub(super) fn exec(instrs: &[Instr], ctx: &mut TypedCtx) {
-    let mut pc = 0usize;
-    'dispatch: while pc < instrs.len() {
-        for ins in &instrs[pc..] {
-            pc += 1;
-            match ins {
-                Instr::ConstF { dst, v } => ctx.set_f(*dst, *v),
-                Instr::ConstI { dst, v } => ctx.set_i(*dst, *v),
-                Instr::ConstB { dst, v } => ctx.set_b(*dst, *v),
-                Instr::ConstV { dst, v } => {
-                    ctx.fallback_ops += 1;
-                    ctx.v[*dst as usize] = (**v).clone();
-                }
-                Instr::Null { dst } => ctx.set_null(*dst),
-                Instr::Time { dst } => {
-                    let t = ctx.t;
-                    ctx.set_i(*dst, t);
-                }
-                Instr::Mov { src, dst } => match (src.class, dst.class) {
-                    (Class::F, Class::F) => {
-                        let (x, n) = ctx.get_f(src.idx);
-                        ctx.f[dst.idx as usize] = x;
-                        ctx.nf.set(dst.idx as usize, n);
-                    }
-                    (Class::I, Class::I) => {
-                        let (x, n) = ctx.get_i(src.idx);
-                        ctx.i[dst.idx as usize] = x;
-                        ctx.ni.set(dst.idx as usize, n);
-                    }
-                    (Class::B, Class::B) => {
-                        let (x, n) = ctx.get_b(src.idx);
-                        ctx.b[dst.idx as usize] = x;
-                        ctx.nb.set(dst.idx as usize, n);
-                    }
-                    _ => {
-                        ctx.fallback_ops += 1;
-                        ctx.v[dst.idx as usize] = ctx.v[src.idx as usize].clone();
-                    }
-                },
-                Instr::Box { src, dst } => {
-                    ctx.fallback_ops += 1;
-                    ctx.v[*dst as usize] = ctx.read_value(*src);
-                }
-                Instr::ArithF { op, a, b, dst } => {
-                    // Branch-free: IEEE float ops cannot trap, so the value is
-                    // computed unconditionally and φ rides the flag store.
-                    let (x, xn) = ctx.get_f(*a);
-                    let (y, yn) = ctx.get_f(*b);
-                    ctx.f[*dst as usize] = op.apply_f(x, y);
-                    ctx.nf.set(*dst as usize, xn | yn);
-                }
-                Instr::ArithI { op, a, b, dst } => {
-                    let (x, xn) = ctx.get_i(*a);
-                    let (y, yn) = ctx.get_i(*b);
-                    match if xn || yn { None } else { op.apply_i(x, y) } {
-                        Some(r) => ctx.set_i(*dst, r),
-                        None => ctx.ni.set(*dst as usize, true),
-                    }
-                }
-                Instr::ArithFC { op, a, c, dst, rev } => {
-                    let (x, n) = ctx.get_f(*a);
-                    let r = if *rev { op.apply_f(*c, x) } else { op.apply_f(x, *c) };
-                    ctx.f[*dst as usize] = r;
-                    ctx.nf.set(*dst as usize, n);
-                }
-                Instr::MulAddF { x, y, z, dst } => {
-                    let (a, an) = ctx.get_f(*x);
-                    let (b, bn) = ctx.get_f(*y);
-                    let (c, cn) = ctx.get_f(*z);
-                    ctx.f[*dst as usize] = a * b + c;
-                    ctx.nf.set(*dst as usize, an | bn | cn);
-                }
-                Instr::MulAddFC { x, y, c, dst } => {
-                    let (a, an) = ctx.get_f(*x);
-                    let (b, bn) = ctx.get_f(*y);
-                    ctx.f[*dst as usize] = a * b + *c;
-                    ctx.nf.set(*dst as usize, an | bn);
-                }
-                Instr::ArithIC { op, a, c, dst, rev } => {
-                    let (x, n) = ctx.get_i(*a);
-                    let r = if n {
-                        None
-                    } else if *rev {
-                        op.apply_i(*c, x)
-                    } else {
-                        op.apply_i(x, *c)
-                    };
-                    match r {
-                        Some(r) => ctx.set_i(*dst, r),
-                        None => ctx.ni.set(*dst as usize, true),
-                    }
-                }
-                Instr::CmpFC { op, a, c, dst } => {
-                    let (x, n) = ctx.get_f(*a);
-                    ctx.b[*dst as usize] = op.apply(x, *c);
-                    ctx.nb.set(*dst as usize, n);
-                }
-                Instr::CmpIC { op, a, c, dst } => {
-                    let (x, n) = ctx.get_i(*a);
-                    if n {
-                        ctx.nb.set(*dst as usize, true);
-                    } else {
-                        ctx.set_b(*dst, op.apply(x, *c));
-                    }
-                }
-                Instr::Select { cond, t, f, dst } => {
-                    let (c, n) = ctx.get_b(*cond);
-                    let taken = if n {
-                        None
-                    } else if c {
-                        *t
-                    } else {
-                        *f
-                    };
-                    match taken {
-                        None => ctx.set_null(*dst),
-                        Some(src) if src == *dst => {}
-                        Some(src) => match (src.class, dst.class) {
-                            (Class::F, Class::F) => {
-                                let (x, xn) = ctx.get_f(src.idx);
-                                ctx.f[dst.idx as usize] = x;
-                                ctx.nf.set(dst.idx as usize, xn);
-                            }
-                            (Class::I, Class::I) => {
-                                let (x, xn) = ctx.get_i(src.idx);
-                                ctx.i[dst.idx as usize] = x;
-                                ctx.ni.set(dst.idx as usize, xn);
-                            }
-                            (Class::B, Class::B) => {
-                                let (x, xn) = ctx.get_b(src.idx);
-                                ctx.b[dst.idx as usize] = x;
-                                ctx.nb.set(dst.idx as usize, xn);
-                            }
-                            _ => {
-                                ctx.fallback_ops += 1;
-                                ctx.v[dst.idx as usize] = ctx.read_value(src);
-                            }
-                        },
-                    }
-                }
-                Instr::CmpF { op, a, b, dst } => {
-                    let (x, xn) = ctx.get_f(*a);
-                    let (y, yn) = ctx.get_f(*b);
-                    ctx.b[*dst as usize] = op.apply(x, y);
-                    ctx.nb.set(*dst as usize, xn | yn);
-                }
-                Instr::CmpI { op, a, b, dst } => {
-                    let (x, xn) = ctx.get_i(*a);
-                    let (y, yn) = ctx.get_i(*b);
-                    if xn || yn {
-                        ctx.nb.set(*dst as usize, true);
-                    } else {
-                        ctx.set_b(*dst, op.apply(x, y));
-                    }
-                }
-                Instr::CmpB { op, a, b, dst } => {
-                    let (x, xn) = ctx.get_b(*a);
-                    let (y, yn) = ctx.get_b(*b);
-                    if xn || yn {
-                        ctx.nb.set(*dst as usize, true);
-                    } else {
-                        ctx.set_b(*dst, op.apply(x, y));
-                    }
-                }
-                Instr::EqF { neg, a, b, dst } => {
-                    let (x, xn) = ctx.get_f(*a);
-                    let (y, yn) = ctx.get_f(*b);
-                    ctx.b[*dst as usize] = (x.to_bits() == y.to_bits()) != *neg;
-                    ctx.nb.set(*dst as usize, xn | yn);
-                }
-                Instr::EqI { neg, a, b, dst } => {
-                    let (x, xn) = ctx.get_i(*a);
-                    let (y, yn) = ctx.get_i(*b);
-                    if xn || yn {
-                        ctx.nb.set(*dst as usize, true);
-                    } else {
-                        ctx.set_b(*dst, (x == y) != *neg);
-                    }
-                }
-                Instr::EqB { neg, a, b, dst } => {
-                    let (x, xn) = ctx.get_b(*a);
-                    let (y, yn) = ctx.get_b(*b);
-                    if xn || yn {
-                        ctx.nb.set(*dst as usize, true);
-                    } else {
-                        ctx.set_b(*dst, (x == y) != *neg);
-                    }
-                }
-                Instr::AndB { a, b, dst } => {
-                    let (x, xn) = ctx.get_b(*a);
-                    let (y, yn) = ctx.get_b(*b);
-                    // Kleene: false ∧ φ = false.
-                    if (!xn && !x) || (!yn && !y) {
-                        ctx.set_b(*dst, false);
-                    } else if !xn && !yn {
-                        ctx.set_b(*dst, true);
-                    } else {
-                        ctx.nb.set(*dst as usize, true);
-                    }
-                }
-                Instr::OrB { a, b, dst } => {
-                    let (x, xn) = ctx.get_b(*a);
-                    let (y, yn) = ctx.get_b(*b);
-                    // Kleene: true ∨ φ = true.
-                    if (!xn && x) || (!yn && y) {
-                        ctx.set_b(*dst, true);
-                    } else if !xn && !yn {
-                        ctx.set_b(*dst, false);
-                    } else {
-                        ctx.nb.set(*dst as usize, true);
-                    }
-                }
-                Instr::NotB { a, dst } => {
-                    let (x, n) = ctx.get_b(*a);
-                    if n {
-                        ctx.nb.set(*dst as usize, true);
-                    } else {
-                        ctx.set_b(*dst, !x);
-                    }
-                }
-                Instr::NegF { a, dst } => {
-                    let (x, n) = ctx.get_f(*a);
-                    ctx.f[*dst as usize] = -x;
-                    ctx.nf.set(*dst as usize, n);
-                }
-                Instr::NegI { a, dst } => {
-                    let (x, n) = ctx.get_i(*a);
-                    if n {
-                        ctx.ni.set(*dst as usize, true);
-                    } else {
-                        ctx.set_i(*dst, -x);
-                    }
-                }
-                Instr::AbsF { a, dst } => {
-                    let (x, n) = ctx.get_f(*a);
-                    ctx.f[*dst as usize] = x.abs();
-                    ctx.nf.set(*dst as usize, n);
-                }
-                Instr::AbsI { a, dst } => {
-                    let (x, n) = ctx.get_i(*a);
-                    if n {
-                        ctx.ni.set(*dst as usize, true);
-                    } else {
-                        ctx.set_i(*dst, x.abs());
-                    }
-                }
-                Instr::SqrtF { a, dst } => {
-                    let (x, n) = ctx.get_f(*a);
-                    ctx.f[*dst as usize] = x.sqrt();
-                    ctx.nf.set(*dst as usize, n);
-                }
-                Instr::I2F { a, dst } => {
-                    let (x, n) = ctx.get_i(*a);
-                    ctx.f[*dst as usize] = x as f64;
-                    ctx.nf.set(*dst as usize, n);
-                }
-                Instr::F2I { a, dst } => {
-                    let (x, n) = ctx.get_f(*a);
-                    if n {
-                        ctx.ni.set(*dst as usize, true);
-                    } else {
-                        ctx.set_i(*dst, x as i64);
-                    }
-                }
-                Instr::IsNull { a, dst } => {
-                    let n = ctx.is_null(*a);
-                    ctx.set_b(*dst, n);
-                }
-                Instr::BinV { op, a, b, dst } => {
-                    ctx.fallback_ops += 1;
-                    // Box only non-V operands; V operands apply by reference
-                    // (no Arc traffic for Str/Tuple payloads).
-                    let result = match (a.class, b.class) {
-                        (Class::V, Class::V) => {
-                            op.apply(&ctx.v[a.idx as usize], &ctx.v[b.idx as usize])
-                        }
-                        (Class::V, _) => op.apply(&ctx.v[a.idx as usize], &ctx.read_value(*b)),
-                        (_, Class::V) => op.apply(&ctx.read_value(*a), &ctx.v[b.idx as usize]),
-                        _ => op.apply(&ctx.read_value(*a), &ctx.read_value(*b)),
-                    };
-                    ctx.store_value(*dst, result);
-                }
-                Instr::UnV { op, a, dst } => {
-                    ctx.fallback_ops += 1;
-                    let result = op.apply(&ctx.v[*a as usize]);
-                    ctx.store_value(*dst, result);
-                }
-                Instr::Field { a, idx, dst } => {
-                    ctx.fallback_ops += 1;
-                    ctx.v[*dst as usize] = ctx.v[*a as usize].field(*idx);
-                }
-                Instr::MakeTuple { parts, dst } => {
-                    ctx.fallback_ops += 1;
-                    let fields: Vec<Value> = parts
-                        .iter()
-                        .map(|p| p.map_or(Value::Null, |r| ctx.read_value(r)))
-                        .collect();
-                    ctx.v[*dst as usize] = Value::tuple(fields);
-                }
-                Instr::Jump { target } => {
-                    pc = *target as usize;
-                    continue 'dispatch;
-                }
-                Instr::Branch { cond, on_false, on_null } => {
-                    let (x, n) = ctx.get_b(*cond);
-                    if n {
-                        pc = *on_null as usize;
-                        continue 'dispatch;
-                    }
-                    if !x {
-                        pc = *on_false as usize;
-                        continue 'dispatch;
-                    }
-                }
-                Instr::BranchV { cond, on_false, on_null } => {
-                    ctx.fallback_ops += 1;
-                    match ctx.v[*cond as usize] {
-                        Value::Bool(true) => {}
-                        Value::Bool(false) => {
-                            pc = *on_false as usize;
-                            continue 'dispatch;
-                        }
-                        _ => {
-                            pc = *on_null as usize;
-                            continue 'dispatch;
-                        }
-                    }
+    for ins in instrs {
+        match ins {
+            Instr::ConstF { dst, v } => ctx.set_f(*dst, *v),
+            Instr::ConstI { dst, v } => ctx.set_i(*dst, *v),
+            Instr::ConstB { dst, v } => ctx.set_b(*dst, *v),
+            Instr::Null { dst } => ctx.set_null(*dst),
+            Instr::Time { dst } => {
+                let t = ctx.t;
+                ctx.set_i(*dst, t);
+            }
+            Instr::ArithF { op, a, b, dst } => {
+                // Branch-free: IEEE float ops cannot trap, so the value is
+                // computed unconditionally and φ rides the flag store.
+                let (x, xn) = ctx.get_f(*a);
+                let (y, yn) = ctx.get_f(*b);
+                ctx.f[*dst as usize] = op.apply_f(x, y);
+                ctx.nf.set(*dst as usize, xn | yn);
+            }
+            Instr::ArithI { op, a, b, dst } => {
+                let (x, xn) = ctx.get_i(*a);
+                let (y, yn) = ctx.get_i(*b);
+                match if xn || yn { None } else { op.apply_i(x, y) } {
+                    Some(r) => ctx.set_i(*dst, r),
+                    None => ctx.ni.set(*dst as usize, true),
                 }
             }
+            Instr::ArithFC { op, a, c, dst, rev } => {
+                let (x, n) = ctx.get_f(*a);
+                let r = if *rev { op.apply_f(*c, x) } else { op.apply_f(x, *c) };
+                ctx.f[*dst as usize] = r;
+                ctx.nf.set(*dst as usize, n);
+            }
+            Instr::MulAddF { x, y, z, dst } => {
+                let (a, an) = ctx.get_f(*x);
+                let (b, bn) = ctx.get_f(*y);
+                let (c, cn) = ctx.get_f(*z);
+                ctx.f[*dst as usize] = a * b + c;
+                ctx.nf.set(*dst as usize, an | bn | cn);
+            }
+            Instr::MulAddFC { x, y, c, dst } => {
+                let (a, an) = ctx.get_f(*x);
+                let (b, bn) = ctx.get_f(*y);
+                ctx.f[*dst as usize] = a * b + *c;
+                ctx.nf.set(*dst as usize, an | bn);
+            }
+            Instr::ArithIC { op, a, c, dst, rev } => {
+                let (x, n) = ctx.get_i(*a);
+                let r = if n {
+                    None
+                } else if *rev {
+                    op.apply_i(*c, x)
+                } else {
+                    op.apply_i(x, *c)
+                };
+                match r {
+                    Some(r) => ctx.set_i(*dst, r),
+                    None => ctx.ni.set(*dst as usize, true),
+                }
+            }
+            Instr::CmpFC { op, a, c, dst } => {
+                let (x, n) = ctx.get_f(*a);
+                ctx.b[*dst as usize] = op.apply(x, *c);
+                ctx.nb.set(*dst as usize, n);
+            }
+            Instr::CmpIC { op, a, c, dst } => {
+                let (x, n) = ctx.get_i(*a);
+                if n {
+                    ctx.nb.set(*dst as usize, true);
+                } else {
+                    ctx.set_b(*dst, op.apply(x, *c));
+                }
+            }
+            Instr::Select { cond, t, f, dst } => {
+                let (c, n) = ctx.get_b(*cond);
+                let taken = if n {
+                    None
+                } else if c {
+                    *t
+                } else {
+                    *f
+                };
+                match taken {
+                    None => ctx.set_null(*dst),
+                    Some(src) if src == *dst => {}
+                    Some(src) => ctx.copy(src, *dst),
+                }
+            }
+            Instr::CmpF { op, a, b, dst } => {
+                let (x, xn) = ctx.get_f(*a);
+                let (y, yn) = ctx.get_f(*b);
+                ctx.b[*dst as usize] = op.apply(x, y);
+                ctx.nb.set(*dst as usize, xn | yn);
+            }
+            Instr::CmpI { op, a, b, dst } => {
+                let (x, xn) = ctx.get_i(*a);
+                let (y, yn) = ctx.get_i(*b);
+                if xn || yn {
+                    ctx.nb.set(*dst as usize, true);
+                } else {
+                    ctx.set_b(*dst, op.apply(x, y));
+                }
+            }
+            Instr::CmpB { op, a, b, dst } => {
+                let (x, xn) = ctx.get_b(*a);
+                let (y, yn) = ctx.get_b(*b);
+                if xn || yn {
+                    ctx.nb.set(*dst as usize, true);
+                } else {
+                    ctx.set_b(*dst, op.apply(x, y));
+                }
+            }
+            Instr::EqF { neg, a, b, dst } => {
+                let (x, xn) = ctx.get_f(*a);
+                let (y, yn) = ctx.get_f(*b);
+                ctx.b[*dst as usize] = (x.to_bits() == y.to_bits()) != *neg;
+                ctx.nb.set(*dst as usize, xn | yn);
+            }
+            Instr::EqI { neg, a, b, dst } => {
+                let (x, xn) = ctx.get_i(*a);
+                let (y, yn) = ctx.get_i(*b);
+                if xn || yn {
+                    ctx.nb.set(*dst as usize, true);
+                } else {
+                    ctx.set_b(*dst, (x == y) != *neg);
+                }
+            }
+            Instr::EqB { neg, a, b, dst } => {
+                let (x, xn) = ctx.get_b(*a);
+                let (y, yn) = ctx.get_b(*b);
+                if xn || yn {
+                    ctx.nb.set(*dst as usize, true);
+                } else {
+                    ctx.set_b(*dst, (x == y) != *neg);
+                }
+            }
+            Instr::AndB { a, b, dst } => {
+                let (x, xn) = ctx.get_b(*a);
+                let (y, yn) = ctx.get_b(*b);
+                // Kleene: false ∧ φ = false.
+                if (!xn && !x) || (!yn && !y) {
+                    ctx.set_b(*dst, false);
+                } else if !xn && !yn {
+                    ctx.set_b(*dst, true);
+                } else {
+                    ctx.nb.set(*dst as usize, true);
+                }
+            }
+            Instr::OrB { a, b, dst } => {
+                let (x, xn) = ctx.get_b(*a);
+                let (y, yn) = ctx.get_b(*b);
+                // Kleene: true ∨ φ = true.
+                if (!xn && x) || (!yn && y) {
+                    ctx.set_b(*dst, true);
+                } else if !xn && !yn {
+                    ctx.set_b(*dst, false);
+                } else {
+                    ctx.nb.set(*dst as usize, true);
+                }
+            }
+            Instr::NotB { a, dst } => {
+                let (x, n) = ctx.get_b(*a);
+                if n {
+                    ctx.nb.set(*dst as usize, true);
+                } else {
+                    ctx.set_b(*dst, !x);
+                }
+            }
+            Instr::NegF { a, dst } => {
+                let (x, n) = ctx.get_f(*a);
+                ctx.f[*dst as usize] = -x;
+                ctx.nf.set(*dst as usize, n);
+            }
+            Instr::NegI { a, dst } => {
+                let (x, n) = ctx.get_i(*a);
+                if n {
+                    ctx.ni.set(*dst as usize, true);
+                } else {
+                    ctx.set_i(*dst, -x);
+                }
+            }
+            Instr::AbsF { a, dst } => {
+                let (x, n) = ctx.get_f(*a);
+                ctx.f[*dst as usize] = x.abs();
+                ctx.nf.set(*dst as usize, n);
+            }
+            Instr::AbsI { a, dst } => {
+                let (x, n) = ctx.get_i(*a);
+                if n {
+                    ctx.ni.set(*dst as usize, true);
+                } else {
+                    ctx.set_i(*dst, x.abs());
+                }
+            }
+            Instr::SqrtF { a, dst } => {
+                let (x, n) = ctx.get_f(*a);
+                ctx.f[*dst as usize] = x.sqrt();
+                ctx.nf.set(*dst as usize, n);
+            }
+            Instr::I2F { a, dst } => {
+                let (x, n) = ctx.get_i(*a);
+                ctx.f[*dst as usize] = x as f64;
+                ctx.nf.set(*dst as usize, n);
+            }
+            Instr::F2I { a, dst } => {
+                let (x, n) = ctx.get_f(*a);
+                if n {
+                    ctx.ni.set(*dst as usize, true);
+                } else {
+                    ctx.set_i(*dst, x as i64);
+                }
+            }
+            Instr::IsNull { a, dst } => {
+                let n = ctx.is_null(*a);
+                ctx.set_b(*dst, n);
+            }
         }
-    }
-}
-
-/// If `out` is the value of `code`'s last instruction and its class matches
-/// `dst`, rewrites that instruction to write `dst` directly (eliding the
-/// branch-tail `Mov`). Safe because every instruction writes a fresh
-/// single-writer register: the original destination has no other reader
-/// once the `if` consumes it.
-fn branch_retargets(code: &mut [Instr], out: &Out, dst: Reg) -> bool {
-    let Out::Reg(r, _) = out else { return false };
-    if r.class != dst.class {
-        return false;
-    }
-    let Some(last) = code.last_mut() else { return false };
-    let written = match last {
-        Instr::ArithF { dst, .. }
-        | Instr::ArithFC { dst, .. }
-        | Instr::SqrtF { dst, .. }
-        | Instr::NegF { dst, .. }
-        | Instr::AbsF { dst, .. }
-        | Instr::I2F { dst, .. }
-            if r.class == Class::F =>
-        {
-            Some(dst)
-        }
-        Instr::ArithI { dst, .. }
-        | Instr::ArithIC { dst, .. }
-        | Instr::NegI { dst, .. }
-        | Instr::AbsI { dst, .. }
-        | Instr::F2I { dst, .. }
-        | Instr::Time { dst }
-            if r.class == Class::I =>
-        {
-            Some(dst)
-        }
-        Instr::CmpF { dst, .. }
-        | Instr::CmpI { dst, .. }
-        | Instr::CmpB { dst, .. }
-        | Instr::CmpFC { dst, .. }
-        | Instr::CmpIC { dst, .. }
-        | Instr::EqF { dst, .. }
-        | Instr::EqI { dst, .. }
-        | Instr::EqB { dst, .. }
-        | Instr::AndB { dst, .. }
-        | Instr::OrB { dst, .. }
-        | Instr::NotB { dst, .. }
-        | Instr::IsNull { dst, .. }
-            if r.class == Class::B =>
-        {
-            Some(dst)
-        }
-        Instr::Field { dst, .. } | Instr::MakeTuple { dst, .. } if r.class == Class::V => Some(dst),
-        _ => None,
-    };
-    match written {
-        Some(d) if *d == r.idx => {
-            *d = dst.idx;
-            true
-        }
-        _ => false,
     }
 }
 
@@ -1164,32 +829,30 @@ impl Out {
 /// the *same* slots so both tiers share cursors, reduce runners, and
 /// change-point stepping. `objs` resolves temporal-object payload types
 /// (from [`TypeInfo`]); `classes` gives each upstream object's register
-/// class — `V` for objects produced by fallback or dynamically-typed
-/// kernels, whose buffers may hold runtime types the static type does not
-/// pin down.
+/// class — `V` for objects produced by interpreted kernels, whose buffers
+/// may hold runtime types the static type does not pin down.
 ///
 /// # Errors
 ///
-/// Propagates type or structure errors; callers treat a failed typed
-/// compile as "stay on the interpreter tier" (see `Kernel::with_types`).
+/// Propagates type or structure errors, and rejects every subtree the
+/// bytecode cannot express (see the module docs); callers treat a failed
+/// typed compile as "stay on the interpreter" (see `Kernel::with_types`).
 pub(crate) fn compile_typed(
     body: &Expr,
     program: &Program,
     objs: &dyn Fn(TObjId) -> Result<DataType>,
     classes: &HashMap<TObjId, Class>,
-    speculate: bool,
 ) -> Result<TypedProgram> {
     let mut cc = TypedCompiler {
         program,
         objs,
         classes,
-        speculate,
         env: HashMap::new(),
         prelude: Vec::new(),
         instrs: Vec::new(),
         const_f: HashMap::new(),
         const_i: HashMap::new(),
-        n_regs: [0; 4],
+        n_regs: [0; 3],
         next_reduce: 0,
         point_regs: vec![None; program.points.len()],
         reduce_regs: vec![None; program.reduces.len()],
@@ -1204,10 +867,6 @@ pub(crate) fn compile_typed(
         Out::Reg(r, _) => Some(r),
         Out::Null => None,
     };
-    thread_jumps(&mut cc.instrs);
-    for map in cc.typed_maps.iter_mut().flatten() {
-        thread_jumps(&mut map.instrs);
-    }
     Ok(TypedProgram {
         prelude: cc.prelude,
         instrs: cc.instrs,
@@ -1215,7 +874,6 @@ pub(crate) fn compile_typed(
         n_f: cc.n_regs[0],
         n_i: cc.n_regs[1],
         n_b: cc.n_regs[2],
-        n_v: cc.n_regs[3],
         point_regs: cc.point_regs,
         reduce_regs: cc.reduce_regs,
         typed_maps: cc.typed_maps,
@@ -1224,16 +882,17 @@ pub(crate) fn compile_typed(
 }
 
 /// Whether `code` is safe to execute on a path the source program did not
-/// take: straight-line typed instructions whose only effect is writing
-/// their destination register, and which cannot trap on operands the taken
-/// path never constrained. Integer `Div`/`Rem`/`Pow` (zero divisors,
-/// `i64::MIN` edge cases) and `NegI`/`AbsI` (overflow) are excluded, as is
-/// all control flow and boxed traffic.
+/// take: typed instructions only write their destination register, so the
+/// one hazard is a trap on operands the taken path never constrained.
+/// Integer `Pow` and `NegI`/`AbsI` (overflow) are excluded, as are `Div`
+/// and `Rem` except by a constant divisor other than −1: `apply_i` turns a
+/// zero divisor into φ, so their only trap is `i64::MIN` by −1.
 fn speculatable(code: &[Instr]) -> bool {
     code.iter().all(|ins| match ins {
         Instr::ConstF { .. }
         | Instr::ConstI { .. }
         | Instr::ConstB { .. }
+        | Instr::Null { .. }
         | Instr::Time { .. }
         | Instr::ArithF { .. }
         | Instr::ArithFC { .. }
@@ -1244,6 +903,7 @@ fn speculatable(code: &[Instr]) -> bool {
         | Instr::CmpB { .. }
         | Instr::CmpFC { .. }
         | Instr::CmpIC { .. }
+        | Instr::Select { .. }
         | Instr::EqF { .. }
         | Instr::EqI { .. }
         | Instr::EqB { .. }
@@ -1254,58 +914,13 @@ fn speculatable(code: &[Instr]) -> bool {
         | Instr::AbsF { .. }
         | Instr::SqrtF { .. }
         | Instr::I2F { .. }
-        | Instr::F2I { .. } => true,
-        Instr::ArithI { op, .. } | Instr::ArithIC { op, .. } => {
-            !matches!(op, ArithOp::Div | ArithOp::Rem | ArithOp::Pow)
-        }
-        Instr::Null { dst } => dst.class != Class::V,
-        Instr::Mov { src, dst } => src.class != Class::V && dst.class != Class::V,
-        Instr::IsNull { a, .. } => a.class != Class::V,
-        Instr::Select { dst, .. } => dst.class != Class::V,
-        Instr::NegI { .. }
-        | Instr::AbsI { .. }
-        | Instr::ConstV { .. }
-        | Instr::Box { .. }
-        | Instr::BinV { .. }
-        | Instr::UnV { .. }
-        | Instr::Field { .. }
-        | Instr::MakeTuple { .. }
-        | Instr::Jump { .. }
-        | Instr::Branch { .. }
-        | Instr::BranchV { .. } => false,
+        | Instr::F2I { .. }
+        | Instr::IsNull { .. } => true,
+        Instr::ArithI { op, .. } => !matches!(op, ArithOp::Div | ArithOp::Rem | ArithOp::Pow),
+        Instr::ArithIC { op: ArithOp::Div | ArithOp::Rem, c, rev, .. } => !*rev && *c != -1,
+        Instr::ArithIC { op, .. } => !matches!(op, ArithOp::Pow),
+        Instr::NegI { .. } | Instr::AbsI { .. } => false,
     })
-}
-
-/// Follows `Jump`-to-`Jump` chains to the final destination (jumps are
-/// forward-only by construction, so chains terminate).
-fn resolve_jump(instrs: &[Instr], mut t: u32) -> u32 {
-    while let Some(Instr::Jump { target }) = instrs.get(t as usize) {
-        t = *target;
-    }
-    t
-}
-
-/// Jump threading: branch-scaffold hops (`Branch`/`Jump` landing on another
-/// `Jump`) retarget straight to their final destination, so the executed
-/// path through an `if` carries no trampoline dispatches.
-fn thread_jumps(instrs: &mut [Instr]) {
-    for i in 0..instrs.len() {
-        let updated = match &instrs[i] {
-            Instr::Jump { target } => Instr::Jump { target: resolve_jump(instrs, *target) },
-            Instr::Branch { cond, on_false, on_null } => Instr::Branch {
-                cond: *cond,
-                on_false: resolve_jump(instrs, *on_false),
-                on_null: resolve_jump(instrs, *on_null),
-            },
-            Instr::BranchV { cond, on_false, on_null } => Instr::BranchV {
-                cond: *cond,
-                on_false: resolve_jump(instrs, *on_false),
-                on_null: resolve_jump(instrs, *on_null),
-            },
-            _ => continue,
-        };
-        instrs[i] = updated;
-    }
 }
 
 /// Object-type lookup backed by whole-query [`TypeInfo`].
@@ -1317,14 +932,21 @@ pub(crate) fn type_lookup<'a>(info: &'a TypeInfo) -> impl Fn(TObjId) -> Result<D
     }
 }
 
+/// The error of a binary operator over operand classes the bytecode has no
+/// instruction for.
+fn mixed(op: BinOp) -> CompileError {
+    CompileError::Invalid(format!("typed tier: no instruction for mixed-class {op}"))
+}
+
+/// The error of a subtree that needs a boxed `V` value.
+fn boxed() -> CompileError {
+    CompileError::Invalid("typed tier: boxed value (the kernel stays interpreted)".into())
+}
+
 struct TypedCompiler<'a> {
     program: &'a Program,
     objs: &'a dyn Fn(TObjId) -> Result<DataType>,
     classes: &'a HashMap<TObjId, Class>,
-    /// If-conversion for the batched tier: `if` branches whose code is
-    /// [`speculatable`] are evaluated unconditionally and merged with one
-    /// `Select`, keeping the body straight-line (see `super::batch`).
-    speculate: bool,
     env: HashMap<VarId, (Option<Reg>, DataType)>,
     /// Run-once constant materialization (see [`TypedProgram::new_ctx`]).
     prelude: Vec<Instr>,
@@ -1332,8 +954,8 @@ struct TypedCompiler<'a> {
     /// Known-constant registers, for folding into `*C` superinstructions.
     const_f: HashMap<u16, f64>,
     const_i: HashMap<u16, i64>,
-    /// Register counts per class, indexed F, I, B, V.
-    n_regs: [u16; 4],
+    /// Register counts per class, indexed F, I, B.
+    n_regs: [u16; 3],
     /// Reduce slots are assigned in body traversal order, exactly like the
     /// interpreter compiler's `reduces` list.
     next_reduce: usize,
@@ -1344,12 +966,15 @@ struct TypedCompiler<'a> {
 }
 
 impl TypedCompiler<'_> {
+    /// Allocates a fresh register of `class`. This is where a subtree that
+    /// needs a boxed value fails the typed compile: `V` is rejected, so its
+    /// kernel runs on the interpreter.
     fn alloc(&mut self, class: Class) -> Result<Reg> {
         let slot = match class {
             Class::F => 0,
             Class::I => 1,
             Class::B => 2,
-            Class::V => 3,
+            Class::V => return Err(boxed()),
         };
         let idx = self.n_regs[slot];
         if idx == u16::MAX {
@@ -1362,12 +987,6 @@ impl TypedCompiler<'_> {
     /// The register class of upstream object `obj` with payload type `ty`.
     fn obj_class(&self, obj: TObjId, ty: &DataType) -> Class {
         self.classes.get(&obj).copied().unwrap_or_else(|| Class::of_type(ty))
-    }
-
-    /// Pushes a placeholder jump and returns its index for later patching.
-    fn reserve(&mut self) -> usize {
-        self.instrs.push(Instr::Jump { target: u32::MAX });
-        self.instrs.len() - 1
     }
 
     /// Allocates a register holding φ (a materialized folded-null operand;
@@ -1388,40 +1007,6 @@ impl TypedCompiler<'_> {
         }
     }
 
-    /// Appends a branch's side-compiled instructions, relocating internal
-    /// jump targets by the insertion offset.
-    fn splice(&mut self, side: Vec<Instr>) {
-        let base = self.instrs.len() as u32;
-        for ins in side {
-            self.instrs.push(match ins {
-                Instr::Jump { target } => Instr::Jump { target: target + base },
-                Instr::Branch { cond, on_false, on_null } => {
-                    Instr::Branch { cond, on_false: on_false + base, on_null: on_null + base }
-                }
-                Instr::BranchV { cond, on_false, on_null } => {
-                    Instr::BranchV { cond, on_false: on_false + base, on_null: on_null + base }
-                }
-                other => other,
-            });
-        }
-    }
-
-    /// Emits the instruction(s) that move `src` into `dst` (boxing when the
-    /// destination is dynamic).
-    fn emit_assign(&mut self, src: &Out, dst: Reg) -> Result<()> {
-        match src {
-            Out::Null => self.instrs.push(Instr::Null { dst }),
-            Out::Reg(r, _) if r.class == dst.class => self.instrs.push(Instr::Mov { src: *r, dst }),
-            Out::Reg(r, _) if dst.class == Class::V => {
-                self.instrs.push(Instr::Box { src: *r, dst: dst.idx })
-            }
-            Out::Reg(..) => {
-                return Err(CompileError::Invalid("typed tier class mismatch in assign".into()))
-            }
-        }
-        Ok(())
-    }
-
     /// Coerces an `I`-class operand to a fresh `F` register (numeric
     /// promotion); `F` operands pass through.
     fn promote_f(&mut self, r: Reg) -> Result<Reg> {
@@ -1439,7 +1024,7 @@ impl TypedCompiler<'_> {
     fn emit(&mut self, e: &Expr) -> Result<Out> {
         match e {
             // Constants materialize in the prelude — once per register
-            // file, never in the per-tick instruction stream.
+            // file, never in the per-run instruction stream.
             Expr::Const(v) => match v {
                 Value::Null => Ok(Out::Null),
                 Value::Bool(b) => {
@@ -1459,11 +1044,7 @@ impl TypedCompiler<'_> {
                     self.const_f.insert(r.idx, *x);
                     Ok(Out::Reg(r, DataType::Float))
                 }
-                other => {
-                    let r = self.alloc(Class::V)?;
-                    self.prelude.push(Instr::ConstV { dst: r.idx, v: Box::new(other.clone()) });
-                    Ok(Out::Reg(r, DataType::of_value(other)))
-                }
+                _ => Err(boxed()),
             },
             Expr::Var(v) => match self.env.get(v) {
                 Some((Some(r), ty)) => Ok(Out::Reg(*r, ty.clone())),
@@ -1503,47 +1084,12 @@ impl TypedCompiler<'_> {
                 }
                 bo
             }
-            Expr::Field(a, i) => {
-                let ao = self.emit(a)?;
-                match ao {
-                    Out::Null => Ok(Out::Null),
-                    Out::Reg(r, ty) => {
-                        if r.class != Class::V {
-                            return Err(CompileError::Invalid(
-                                "typed tier field access on unboxed register".into(),
-                            ));
-                        }
-                        let field_ty = match &ty {
-                            DataType::Tuple(fields) => {
-                                fields.get(*i).cloned().unwrap_or(DataType::Unknown)
-                            }
-                            _ => DataType::Unknown,
-                        };
-                        // Tuples built under promotion may hold runtime
-                        // types the static field type does not pin down:
-                        // projections stay boxed.
-                        let dst = self.alloc(Class::V)?;
-                        self.instrs.push(Instr::Field { a: r.idx, idx: *i, dst: dst.idx });
-                        Ok(Out::Reg(dst, field_ty))
-                    }
-                }
-            }
-            Expr::Tuple(items) => {
-                let mut parts = Vec::with_capacity(items.len());
-                let mut types = Vec::with_capacity(items.len());
-                for it in items {
-                    let o = self.emit(it)?;
-                    types.push(o.ty());
-                    parts.push(match o {
-                        Out::Reg(r, _) => Some(r),
-                        Out::Null => None,
-                    });
-                }
-                let dst = self.alloc(Class::V)?;
-                self.instrs
-                    .push(Instr::MakeTuple { parts: parts.into_boxed_slice(), dst: dst.idx });
-                Ok(Out::Reg(dst, DataType::Tuple(types)))
-            }
+            // Tuples are boxed values; a projection of φ is φ.
+            Expr::Field(a, _) => match self.emit(a)? {
+                Out::Null => Ok(Out::Null),
+                Out::Reg(..) => Err(boxed()),
+            },
+            Expr::Tuple(_) => Err(boxed()),
             Expr::At { obj, offset } => {
                 let ty = (self.objs)(*obj)?;
                 let spec = PointSpec { obj: *obj, offset: *offset };
@@ -1651,20 +1197,6 @@ impl TypedCompiler<'_> {
         }
         let Out::Reg(r, ty) = ao else { return Ok(Out::Null) };
         let result_ty = unary_type(op, &ty)?;
-        // Dynamic operand: apply the Value op; sqrt / casts still land in
-        // typed registers because their dynamic results are single-class.
-        if r.class == Class::V {
-            let dst_class = match op {
-                UnOp::Sqrt | UnOp::ToFloat => Class::F,
-                UnOp::ToInt => Class::I,
-                UnOp::Not => Class::B,
-                UnOp::Neg | UnOp::Abs => Class::V,
-                UnOp::IsNull => unreachable!("handled above"),
-            };
-            let dst = self.alloc(dst_class)?;
-            self.instrs.push(Instr::UnV { op, a: r.idx, dst });
-            return Ok(Out::Reg(dst, result_ty));
-        }
         let out = match (op, r.class) {
             (UnOp::Neg, Class::F) => {
                 let dst = self.alloc(Class::F)?;
@@ -1787,7 +1319,7 @@ impl TypedCompiler<'_> {
                         self.instrs.push(Instr::CmpF { op: cmp, a: a.idx, b: b.idx, dst: dst.idx })
                     }
                 }
-                _ => self.instrs.push(Instr::BinV { op, a: ar, b: br, dst }),
+                _ => return Err(mixed(op)),
             }
             return Ok(Out::Reg(dst, DataType::Bool));
         }
@@ -1804,9 +1336,9 @@ impl TypedCompiler<'_> {
                 (Class::B, Class::B) => {
                     self.instrs.push(Instr::EqB { neg, a: ar.idx, b: br.idx, dst: dst.idx })
                 }
-                // Mixed int/float equality and dynamic operands follow the
-                // exact Value::same semantics through the boxed op.
-                _ => self.instrs.push(Instr::BinV { op, a: ar, b: br, dst }),
+                // Mixed int/float equality follows `Value::same`, which
+                // only the interpreter implements.
+                _ => return Err(mixed(op)),
             }
             return Ok(Out::Reg(dst, DataType::Bool));
         }
@@ -1879,13 +1411,7 @@ impl TypedCompiler<'_> {
                 }
                 Ok(Out::Reg(dst, result_ty))
             }
-            _ => {
-                // A dynamic operand keeps the result dynamic: int/int stays
-                // int, anything else promotes — only the boxed op knows.
-                let dst = self.alloc(Class::V)?;
-                self.instrs.push(Instr::BinV { op, a: ar, b: br, dst });
-                Ok(Out::Reg(dst, result_ty))
-            }
+            _ => Err(mixed(op)),
         }
     }
 
@@ -1916,16 +1442,6 @@ impl TypedCompiler<'_> {
     fn logical_operand(&mut self, o: &Out) -> Result<Option<Reg>> {
         match o {
             Out::Reg(r, _) if r.class == Class::B => Ok(Some(*r)),
-            Out::Reg(r, _) if r.class == Class::V => {
-                // Dynamic bools (e.g. read from a fallback kernel's buffer)
-                // unbox into the B file; non-bool payloads read as φ, which
-                // is exactly `Value::as_bool`'s contract in Value::and/or.
-                let dst = self.alloc(Class::B)?;
-                self.instrs.push(Instr::UnV { op: UnOp::Not, a: r.idx, dst });
-                let flipped = self.alloc(Class::B)?;
-                self.instrs.push(Instr::NotB { a: dst.idx, dst: flipped.idx });
-                Ok(Some(flipped))
-            }
             Out::Reg(..) => {
                 Err(CompileError::Invalid("typed tier non-bool logical operand".into()))
             }
@@ -1933,14 +1449,20 @@ impl TypedCompiler<'_> {
         }
     }
 
+    /// If-converts `c ? t : f`: both branches execute unconditionally and
+    /// one `Select` merges them — invisible, because typed instructions only
+    /// write their own fresh destination, provided neither branch can trap
+    /// ([`speculatable`]) and both produce one register class.
     fn emit_if(&mut self, c: &Expr, t: &Expr, f: &Expr) -> Result<Out> {
         let co = self.emit(c)?;
         // A φ condition yields φ without evaluating either branch — the
         // interpreter's laziness, preserved.
         let Out::Reg(cr, _) = co else { return Ok(Out::Null) };
-        // Compile each branch into a side buffer: branches that need no
-        // instructions of their own (registers, constants, φ) collapse to
-        // one `Select`; everything else splices into a jump scaffold.
+        if cr.class != Class::B {
+            return Err(CompileError::Invalid("typed tier non-bool if condition".into()));
+        }
+        // Compile each branch into a side buffer, to check it before it
+        // joins the body.
         let outer = std::mem::take(&mut self.instrs);
         let to = self.emit(t);
         let t_code = std::mem::take(&mut self.instrs);
@@ -1948,94 +1470,32 @@ impl TypedCompiler<'_> {
         let f_code = std::mem::replace(&mut self.instrs, outer);
         let (to, fo) = (to?, fo?);
 
-        // Destination class: equal classes pass through; mixed classes box,
-        // because the taken branch's unpromoted value is observable.
-        let (dst, result) = match (&to, &fo) {
-            (Out::Null, Out::Null) => {
-                // Both branches are φ; the cond still runs (it was already
-                // emitted) but the result is φ. A throwaway register keeps
-                // the control-flow skeleton patchable.
-                (self.alloc(Class::B)?, Out::Null)
-            }
-            (Out::Reg(r, ty), Out::Null) | (Out::Null, Out::Reg(r, ty)) => {
-                let dst = self.alloc(r.class)?;
-                (dst, Out::Reg(dst, ty.clone()))
-            }
+        let (class, ty) = match (&to, &fo) {
+            // Both branches are φ: so is the result, and their code is dead.
+            (Out::Null, Out::Null) => return Ok(Out::Null),
+            (Out::Reg(r, ty), Out::Null) | (Out::Null, Out::Reg(r, ty)) => (r.class, ty.clone()),
             (Out::Reg(ra, ta), Out::Reg(rb, tb)) => {
                 let ty = ta.unify(tb).or_else(|| ta.promote(tb)).ok_or_else(|| {
                     CompileError::Type(format!("if branches disagree: {ta} vs {tb}"))
                 })?;
+                // Mixed classes would box: the taken branch's unpromoted
+                // value is observable.
                 let class = if ra.class == rb.class { ra.class } else { Class::V };
-                let dst = self.alloc(class)?;
-                (dst, Out::Reg(dst, ty))
+                (class, ty)
             }
         };
-
-        // Empty branch bodies always collapse to one `Select`. Under
-        // `speculate` (the batched tier), branches of safe code — no
-        // trapping integer ops, no control flow, no boxed traffic — are
-        // evaluated on *both* paths and merged the same way: semantically
-        // invisible (a typed non-trapping op has no effect beyond its own
-        // destination register), but the body stays straight-line, which
-        // the batch gate requires.
-        let empty = t_code.is_empty() && f_code.is_empty();
-        let spec = self.speculate
-            && dst.class != Class::V
-            && speculatable(&t_code)
-            && speculatable(&f_code);
-        if cr.class == Class::B && (empty || spec) {
-            let as_src = |o: &Out| match o {
-                Out::Reg(r, _) => Some(*r),
-                Out::Null => None,
-            };
-            self.splice(t_code);
-            self.splice(f_code);
-            self.instrs.push(Instr::Select { cond: cr.idx, t: as_src(&to), f: as_src(&fo), dst });
-            return Ok(result);
+        if !speculatable(&t_code) || !speculatable(&f_code) {
+            return Err(CompileError::Invalid("typed tier: `if` branch may trap".into()));
         }
-
-        // When a branch's value is produced by its own last instruction,
-        // rewrite that instruction to target the `if` destination directly
-        // and skip the tail `Mov` (the branch then jumps straight to the
-        // end).
-        let mut t_code = t_code;
-        let mut f_code = f_code;
-        let t_assigned = branch_retargets(&mut t_code, &to, dst);
-        let f_assigned = branch_retargets(&mut f_code, &fo, dst);
-
-        let branch_at = self.reserve();
-        self.splice(t_code);
-        let j_then = self.reserve();
-        let else_at = self.instrs.len();
-        self.splice(f_code);
-        let j_else = self.reserve();
-        let then_mov = self.instrs.len();
-        if !t_assigned {
-            self.emit_assign(&to, dst)?;
-        }
-        let j1 = self.reserve();
-        let else_mov = self.instrs.len();
-        if !f_assigned {
-            self.emit_assign(&fo, dst)?;
-        }
-        let j2 = self.reserve();
-        let null_at = self.instrs.len();
-        self.instrs.push(Instr::Null { dst });
-        let end = self.instrs.len();
-
-        let (else_at, null_at) = (else_at as u32, null_at as u32);
-        self.instrs[branch_at] = match cr.class {
-            Class::B => Instr::Branch { cond: cr.idx, on_false: else_at, on_null: null_at },
-            Class::V => Instr::BranchV { cond: cr.idx, on_false: else_at, on_null: null_at },
-            _ => return Err(CompileError::Invalid("typed tier non-bool if condition".into())),
+        let dst = self.alloc(class)?;
+        let as_src = |o: &Out| match o {
+            Out::Reg(r, _) => Some(*r),
+            Out::Null => None,
         };
-        self.instrs[j_then] =
-            Instr::Jump { target: if t_assigned { end } else { then_mov } as u32 };
-        self.instrs[j_else] =
-            Instr::Jump { target: if f_assigned { end } else { else_mov } as u32 };
-        self.instrs[j1] = Instr::Jump { target: end as u32 };
-        self.instrs[j2] = Instr::Jump { target: end as u32 };
-        Ok(result)
+        self.instrs.extend(t_code);
+        self.instrs.extend(f_code);
+        self.instrs.push(Instr::Select { cond: cr.idx, t: as_src(&to), f: as_src(&fo), dst });
+        Ok(Out::Reg(dst, ty))
     }
 }
 
@@ -2043,18 +1503,42 @@ impl TypedCompiler<'_> {
 mod tests {
     use super::*;
     use crate::codegen::program::compile;
+    use crate::ir::{Query, TDom};
+    use crate::{Compiler, ExecTier};
+    use tilt_data::{Event, SnapshotBuf, Time, TimeRange};
 
-    fn typed(body: &Expr, obj_ty: DataType) -> (Program, TypedProgram) {
+    fn typed_with(
+        body: &Expr,
+        objs: &dyn Fn(TObjId) -> Result<DataType>,
+    ) -> Result<(Program, TypedProgram)> {
         let program = compile(body).unwrap();
-        let objs = move |_: TObjId| Ok(obj_ty.clone());
-        let classes = HashMap::new();
-        let tp = compile_typed(body, &program, &objs, &classes, false).unwrap();
-        (program, tp)
+        let tp = compile_typed(body, &program, objs, &HashMap::new())?;
+        Ok((program, tp))
     }
 
-    /// Runs both tiers over the same point-slot inputs and compares.
-    fn both(body: &Expr, obj_ty: DataType, points: &[Value]) -> (Value, Value) {
-        let (program, tp) = typed(body, obj_ty);
+    fn typed(body: &Expr, obj_ty: DataType) -> Result<(Program, TypedProgram)> {
+        typed_with(body, &move |_: TObjId| Ok(obj_ty.clone()))
+    }
+
+    /// The typed root register boxed, as the batched tier pushes it.
+    fn root_value(tp: &TypedProgram, ctx: &TypedCtx) -> Value {
+        let Some(r) = tp.root else { return Value::Null };
+        let (v, null) = match r.class {
+            Class::F => (Value::Float(ctx.get_f(r.idx).0), ctx.get_f(r.idx).1),
+            Class::I => (Value::Int(ctx.get_i(r.idx).0), ctx.get_i(r.idx).1),
+            Class::B => (Value::Bool(ctx.get_b(r.idx).0), ctx.get_b(r.idx).1),
+            Class::V => unreachable!("typed programs allocate no V register"),
+        };
+        if null {
+            Value::Null
+        } else {
+            v
+        }
+    }
+
+    /// Runs the interpreter and the typed body over the same point-slot
+    /// inputs.
+    fn run_both(program: &Program, tp: &TypedProgram, points: &[Value]) -> (Value, Value) {
         let mut ictx = program.new_ctx();
         let mut tctx = tp.new_ctx();
         for (i, v) in points.iter().enumerate() {
@@ -2063,11 +1547,46 @@ mod tests {
                 tctx.load_value(r, v);
             }
         }
-        (program.run(&mut ictx), tp.run(&mut tctx))
+        exec(&tp.instrs, &mut tctx);
+        (program.run(&mut ictx), root_value(tp, &tctx))
+    }
+
+    fn both(body: &Expr, obj_ty: DataType, points: &[Value]) -> (Value, Value) {
+        let (program, tp) = typed(body, obj_ty).unwrap();
+        run_both(&program, &tp, points)
     }
 
     fn obj(i: u32) -> TObjId {
         TObjId(i)
+    }
+
+    /// Compiles `body` over one input of `ty` on both tiers, runs both over
+    /// `events`, and returns the batched kernel count after asserting the
+    /// outputs are byte-identical.
+    fn kernel_differential(ty: DataType, body: Expr, events: &[Event<Value>]) -> usize {
+        let mut b = Query::builder();
+        let input = b.input("x", ty);
+        assert_eq!(input, obj(0));
+        let out = b.temporal("out", TDom::every_tick(), body);
+        let q = b.finish(out).unwrap();
+        let batched = Compiler::new().compile(&q).unwrap();
+        let interp = Compiler::interpreted().compile(&q).unwrap();
+        assert_eq!(interp.tier(), ExecTier::Interpreted);
+        let end = events.last().map_or(Time::new(4), |e| e.end) + 4;
+        let range = TimeRange::new(Time::ZERO, end);
+        let buf = SnapshotBuf::from_events(events, range);
+        assert_eq!(batched.run(&[&buf], range), interp.run(&[&buf], range));
+        if batched.batched_kernels() == 0 {
+            assert!(batched.fallback_ops() > 0, "interpreted kernels count as fallback");
+        }
+        batched.batched_kernels()
+    }
+
+    fn points(values: &[Value]) -> Vec<Event<Value>> {
+        // Every other tick, so φ gaps separate the values.
+        (0..values.len())
+            .map(|i| Event::point(Time::new(2 * i as i64 + 1), values[i].clone()))
+            .collect()
     }
 
     #[test]
@@ -2078,17 +1597,10 @@ mod tests {
             Expr::at(obj(0)),
             Expr::null(),
         );
-        let (_, tp) = typed(&e, DataType::Float);
-        assert!(tp.is_fully_typed());
         for v in [Value::Float(7.5), Value::Float(1.0), Value::Null] {
             let (a, b) = both(&e, DataType::Float, std::slice::from_ref(&v));
             assert!(a.same(&b), "input {v:?}: interp {a:?} vs typed {b:?}");
         }
-        // And the fully-typed run performs zero fallback operations.
-        let (_, tp) = typed(&e, DataType::Float);
-        let mut ctx = tp.new_ctx();
-        tp.run(&mut ctx);
-        assert_eq!(ctx.fallback_ops, 0);
     }
 
     #[test]
@@ -2098,10 +1610,8 @@ mod tests {
             .gt(Expr::c(0.0))
             .and(Expr::at(obj(1)).gt(Expr::c(0i64)))
             .or(Expr::at(obj(0)).is_null());
-        let program = compile(&e).unwrap();
         let objs = |o: TObjId| Ok(if o == obj(0) { DataType::Float } else { DataType::Int });
-        let tp = compile_typed(&e, &program, &objs, &HashMap::new(), false).unwrap();
-        assert!(tp.is_fully_typed());
+        let (program, tp) = typed_with(&e, &objs).unwrap();
         let cases = [
             [Value::Float(1.0), Value::Int(1)],
             [Value::Float(1.0), Value::Null],
@@ -2110,16 +1620,7 @@ mod tests {
             [Value::Float(-1.0), Value::Null],
         ];
         for points in &cases {
-            let mut ictx = program.new_ctx();
-            let mut tctx = tp.new_ctx();
-            for (i, v) in points.iter().enumerate() {
-                ictx.points[i] = v.clone();
-                if let Some(r) = tp.point_regs[i] {
-                    tctx.load_value(r, v);
-                }
-            }
-            let a = program.run(&mut ictx);
-            let b = tp.run(&mut tctx);
+            let (a, b) = run_both(&program, &tp, points);
             assert!(a.same(&b), "points {points:?}: interp {a:?} vs typed {b:?}");
         }
     }
@@ -2127,47 +1628,55 @@ mod tests {
     #[test]
     fn mixed_branch_if_stays_boxed_for_identity() {
         // if p0 > 0 then 1 (int) else 2.5 (float): the taken branch's
-        // dynamic type is observable; the typed tier must preserve it.
+        // dynamic type is observable, so the kernel stays on the
+        // interpreter.
         let e = Expr::if_else(Expr::at(obj(0)).gt(Expr::c(0.0)), Expr::c(1i64), Expr::c(2.5));
-        let (a, b) = both(&e, DataType::Float, &[Value::Float(5.0)]);
-        assert!(a.same(&Value::Int(1)));
-        assert!(a.same(&b));
-        let (a, b) = both(&e, DataType::Float, &[Value::Float(-5.0)]);
-        assert!(a.same(&Value::Float(2.5)));
-        assert!(a.same(&b));
+        assert!(typed(&e, DataType::Float).is_err());
+        let events = points(&[Value::Float(5.0), Value::Float(-5.0)]);
+        assert_eq!(kernel_differential(DataType::Float, e, &events), 0);
     }
 
     #[test]
     fn str_and_tuple_fall_back_but_agree() {
         // {p0, p0 == "hot"} — string equality + tuple construction.
         let e = Expr::Tuple(vec![Expr::at(obj(0)), Expr::at(obj(0)).eq(Expr::c("hot"))]);
-        let (_, tp) = typed(&e, DataType::Str);
-        assert!(!tp.is_fully_typed());
-        for v in [Value::str("hot"), Value::str("cold"), Value::Null] {
-            let (a, b) = both(&e, DataType::Str, std::slice::from_ref(&v));
-            assert!(a.same(&b), "input {v:?}: interp {a:?} vs typed {b:?}");
-        }
-        // Fallback executions are visible in the counter.
-        let (_, tp) = typed(&e, DataType::Str);
-        let mut ctx = tp.new_ctx();
-        tp.run(&mut ctx);
-        assert!(ctx.fallback_ops > 0);
+        assert!(typed(&e, DataType::Str).is_err());
+        let events = points(&[Value::str("hot"), Value::str("cold")]);
+        assert_eq!(kernel_differential(DataType::Str, e, &events), 0);
     }
 
     #[test]
     fn field_projection_and_int_division_semantics() {
-        // p0.1 / 2 over {float, int}: integer division, φ on zero divisor.
+        // Projections read boxed tuples: interpreter only.
         let tuple_ty = DataType::Tuple(vec![DataType::Float, DataType::Int]);
-        let e = Expr::at(obj(0)).get(1).div(Expr::c(2i64));
-        let v = Value::tuple([Value::Float(0.5), Value::Int(7)]);
-        let (a, b) = both(&e, tuple_ty.clone(), &[v]);
+        assert!(typed(&Expr::at(obj(0)).get(1), tuple_ty).is_err());
+        // p0 / 2 over int: integer division, φ on a zero divisor.
+        let e = Expr::at(obj(0)).div(Expr::c(2i64));
+        let (a, b) = both(&e, DataType::Int, &[Value::Int(7)]);
         assert!(a.same(&Value::Int(3)));
         assert!(a.same(&b));
-        let e0 = Expr::at(obj(0)).get(1).div(Expr::c(0i64));
-        let v = Value::tuple([Value::Float(0.5), Value::Int(7)]);
-        let (a, b) = both(&e0, tuple_ty, &[v]);
+        let e0 = Expr::at(obj(0)).div(Expr::c(0i64));
+        let (a, b) = both(&e0, DataType::Int, &[Value::Int(7)]);
         assert!(a.same(&Value::Null));
         assert!(a.same(&b));
+    }
+
+    #[test]
+    fn guarded_division_by_constant_if_converts_unless_it_can_trap() {
+        // x >= 0 ? x / c : t % c. If-conversion evaluates `x / c` on every
+        // lane, `i64::MIN` included: only c = −1 can trap there, so only
+        // that kernel stays interpreted.
+        let xs = [5, -7, i64::MIN, 0, i64::MAX, -1, 12, i64::MIN + 1];
+        let events = points(&xs.map(Value::Int));
+        for c in [3i64, -3, 0, -1] {
+            let body = Expr::if_else(
+                Expr::at(obj(0)).ge(Expr::c(0i64)),
+                Expr::at(obj(0)).div(Expr::c(c)),
+                Expr::Time.rem(Expr::c(c)),
+            );
+            let batched = kernel_differential(DataType::Int, body, &events);
+            assert_eq!(batched, usize::from(c != -1), "c = {c}");
+        }
     }
 
     #[test]
@@ -2189,88 +1698,12 @@ mod tests {
     fn bitwise_float_equality_matches_value_same() {
         // NaN == NaN is true under snapshot identity; -0.0 == 0.0 is false.
         let e = Expr::at(obj(0)).eq(Expr::at_off(obj(0), -1));
-        let (program, _) = typed(&e, DataType::Float);
+        let (program, _) = typed(&e, DataType::Float).unwrap();
         assert_eq!(program.points.len(), 2);
         for (x, y) in [(f64::NAN, f64::NAN), (-0.0, 0.0), (1.5, 1.5), (1.5, 2.5)] {
             let (a, b) = both(&e, DataType::Float, &[Value::Float(x), Value::Float(y)]);
             assert!(a.same(&b), "({x}, {y}): interp {a:?} vs typed {b:?}");
         }
-    }
-}
-
-#[cfg(test)]
-mod bench_probe {
-    use super::*;
-    use crate::codegen::program::compile;
-
-    #[test]
-    #[ignore]
-    fn probe_eval_speed() {
-        // ~45-node numeric body, mirroring kernel_hot's pointwise plan.
-        let x = Expr::at(TObjId(0));
-        let scaled = x.clone().mul(Expr::c(1.0001)).add(Expr::c(0.5));
-        let wrapped = Expr::if_else(
-            scaled.clone().gt(Expr::c(1.5)),
-            scaled.clone().sub(Expr::c(1.5)),
-            scaled,
-        );
-        let poly = wrapped
-            .clone()
-            .mul(wrapped.clone())
-            .mul(Expr::c(0.5))
-            .add(wrapped.clone().mul(Expr::c(0.25)))
-            .add(Expr::c(0.125));
-        let energy = poly.abs().add(Expr::c(1.0)).sqrt();
-        let clamped = energy
-            .clone()
-            .sub(Expr::c(0.3))
-            .mul(Expr::c(2.5))
-            .bin(BinOp::Max, Expr::c(-1.0))
-            .bin(BinOp::Min, Expr::c(1.0));
-        let cubic = clamped
-            .clone()
-            .mul(clamped.clone())
-            .mul(clamped.clone())
-            .add(clamped.mul(Expr::c(0.5)))
-            .sub(Expr::c(0.25));
-        let body = Expr::if_else(
-            cubic.clone().gt(Expr::c(-0.9)).and(cubic.clone().lt(Expr::c(0.9))),
-            cubic.mul(Expr::c(4.0)).add(energy.mul(Expr::c(0.1))),
-            Expr::null(),
-        );
-        eprintln!("body size: {}", body.size());
-        let program = compile(&body).unwrap();
-        let objs = |_: TObjId| Ok(DataType::Float);
-        let tp = compile_typed(&body, &program, &objs, &HashMap::new(), false).unwrap();
-        let n = 3_000_000u64;
-
-        let mut ictx = program.new_ctx();
-        let t0 = std::time::Instant::now();
-        let mut acc = 0u64;
-        for i in 0..n {
-            ictx.points[0] = Value::Float((i % 97) as f64 * 0.01);
-            if !matches!(program.run(&mut ictx), Value::Null) {
-                acc += 1;
-            }
-        }
-        let interp = t0.elapsed();
-        let mut tctx = tp.new_ctx();
-        let t0 = std::time::Instant::now();
-        let mut acc2 = 0u64;
-        for i in 0..n {
-            tctx.load_value(tp.point_regs[0].unwrap(), &Value::Float((i % 97) as f64 * 0.01));
-            if !matches!(tp.run(&mut tctx), Value::Null) {
-                acc2 += 1;
-            }
-        }
-        let typed = t0.elapsed();
-        assert_eq!(acc, acc2);
-        eprintln!(
-            "interp {:.1}ns/eval  typed {:.1}ns/eval  speedup {:.2}x",
-            interp.as_nanos() as f64 / n as f64,
-            typed.as_nanos() as f64 / n as f64,
-            interp.as_nanos() as f64 / typed.as_nanos() as f64
-        );
     }
 }
 

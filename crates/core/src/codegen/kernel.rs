@@ -40,23 +40,20 @@ pub struct Kernel {
     /// The interpreted expression body (always present: the reference tier
     /// and the slot-layout authority).
     pub program: Program,
-    /// The typed register-bytecode body, when the compiled tier lowered
-    /// this kernel (see [`super::lower_typed`]).
+    /// The typed register-bytecode body the batched tier executes, when
+    /// [`super::lower_typed`] compiled it and the batch gate admitted it.
     pub(crate) typed: Option<TypedProgram>,
-    /// Per reduce slot: the fold and result classes when the unboxed
-    /// map→accumulator path applies — the typed map's output feeds the
-    /// monomorphized accumulator directly, no `Value` round trip — and
-    /// whether the map runs over lane columns. Empty until typed lowering.
+    /// Per reduce slot of `typed`: the fold and result classes when the
+    /// unboxed map→accumulator path applies — the typed map's output feeds
+    /// the monomorphized accumulator directly, no `Value` round trip — and
+    /// whether the map runs over lane columns.
     reduce_modes: Vec<Option<FoldMode>>,
-    /// Whether this kernel drives the batched tier: requested by the
-    /// compiler *and* admitted by the batch gate (see `super::batch`).
-    batched: bool,
-    /// True when the compiled tier was requested but this body could not
-    /// be lowered: every interpreted run then counts as one fallback op.
+    /// True when typed lowering was requested but this body stayed on the
+    /// interpreter: every run then counts as one fallback op.
     interp_fallback: bool,
-    /// Enum-touching (fallback) operations executed by the typed tier,
+    /// Interpreted runs of a kernel that typed lowering could not take,
     /// accumulated across runs.
-    pub(crate) fallback: AtomicU64,
+    fallback: AtomicU64,
     /// Fused window-map executions, accumulated across runs — the
     /// observable for the map-once-per-element invariant (Subtract-on-
     /// Evict must not re-run maps; see `super::reduce`).
@@ -88,7 +85,6 @@ impl Kernel {
             program: compile(&te.body)?,
             typed: None,
             reduce_modes: Vec::new(),
-            batched: false,
             interp_fallback: false,
             fallback: AtomicU64::new(0),
             map_runs: AtomicU64::new(0),
@@ -98,25 +94,22 @@ impl Kernel {
         })
     }
 
-    /// Compiles a temporal expression with the interpreter body plus the
-    /// typed register bytecode, using `types` for static types and
-    /// `classes` for upstream objects' register classes. A body the typed
-    /// compiler cannot lower stays interpreter-only — callers observe
-    /// that through [`Kernel::is_compiled`]. With `batched` set, bodies
-    /// admitted by the batch gate execute over runs of ticks.
+    /// Compiles a temporal expression with the interpreter body plus, when
+    /// the body lowers to typed register bytecode and passes the batch gate,
+    /// the batched body — using `types` for static types and `classes` for
+    /// upstream objects' register classes. Any other body stays
+    /// interpreter-only, which callers observe through
+    /// [`Kernel::is_batched`].
     pub(crate) fn with_types(
         te: &TempExpr,
         name: &str,
         types: &TypeInfo,
         classes: &HashMap<TObjId, Class>,
-        batched: bool,
     ) -> Result<Kernel> {
         let mut kernel = Kernel::new(te, name)?;
         let objs = type_lookup(types);
-        kernel.typed = compile_typed(&te.body, &kernel.program, &objs, classes, batched).ok();
-        kernel.interp_fallback = kernel.typed.is_none();
-        if let Some(tp) = &kernel.typed {
-            kernel.reduce_modes = kernel
+        if let Ok(tp) = compile_typed(&te.body, &kernel.program, &objs, classes) {
+            let mut modes: Vec<Option<FoldMode>> = kernel
                 .program
                 .reduces
                 .iter()
@@ -127,34 +120,29 @@ impl Kernel {
                     Some(FoldMode { fold, res, lanes: false })
                 })
                 .collect();
-            kernel.batched = batched && batchable(tp, &mut kernel.reduce_modes);
+            if batchable(&tp, &mut modes) {
+                kernel.typed = Some(tp);
+                kernel.reduce_modes = modes;
+            }
         }
+        kernel.interp_fallback = kernel.typed.is_none();
         Ok(kernel)
     }
 
-    /// Whether this kernel executes its typed body on the batched tier.
+    /// Whether this kernel executes a typed body on the batched tier (the
+    /// alternative is the interpreter).
     pub fn is_batched(&self) -> bool {
-        self.batched
-    }
-
-    /// Whether the typed (compiled) tier is present.
-    pub fn is_compiled(&self) -> bool {
         self.typed.is_some()
     }
 
-    /// Whether the typed tier exists and never touches the dynamic enum.
-    pub fn is_fully_typed(&self) -> bool {
-        self.typed.as_ref().is_some_and(TypedProgram::is_fully_typed)
-    }
-
-    /// Enum-touching operations the typed tier executed so far (0 for a
-    /// fully typed kernel; every run counts for interpreter-only kernels
-    /// living in a compiled query, since their whole body is a fallback).
+    /// Interpreted runs so far of a kernel that typed lowering could not
+    /// take (0 for batched kernels and for interpreter-tier queries, whose
+    /// kernels were never offered to the typed compiler).
     pub fn fallback_ops(&self) -> u64 {
         self.fallback.load(Ordering::Relaxed)
     }
 
-    /// Fused window-map executions by the typed tiers so far. The map-once
+    /// Fused window-map executions by the batched tier so far. The map-once
     /// invariant bounds this by the number of elements ever *accumulated*
     /// into this kernel's windows — eviction must re-use cached mapped
     /// values, never re-run the map.
@@ -206,9 +194,9 @@ impl Kernel {
     /// output buffers through a [`tilt_data::BufPool`] this way instead of
     /// reallocating one per kernel per advance.
     ///
-    /// Dispatches to the typed (compiled) tier when it was lowered, the
-    /// interpreter otherwise; both tiers share one loop skeleton, so
-    /// stepping and output shape are identical.
+    /// Dispatches to the batched tier when the kernel has a typed body, the
+    /// interpreter otherwise; both tiers share one stepping rule, so output
+    /// shape is identical.
     pub fn run_into(
         &self,
         bufs: &[Option<&SnapshotBuf<Value>>],
@@ -231,8 +219,7 @@ impl Kernel {
         out: &mut SnapshotBuf<Value>,
     ) {
         match &self.typed {
-            Some(tp) if self.batched => self.run_batched(tp, bufs, range, out),
-            Some(tp) => self.run_typed(tp, bufs, range, out),
+            Some(tp) => self.run_batched(tp, bufs, range, out),
             None => self.run_interp(bufs, range, out),
         }
     }
@@ -249,9 +236,7 @@ impl Kernel {
     pub fn profile(&self) -> KernelProfile {
         KernelProfile {
             name: self.name.clone(),
-            compiled: self.is_compiled(),
             batched: self.is_batched(),
-            fully_typed: self.is_fully_typed(),
             invocations: self.invocations.load(Ordering::Relaxed),
             nanos: self.nanos.load(Ordering::Relaxed),
             fallback_ops: self.fallback_ops(),
@@ -260,7 +245,7 @@ impl Kernel {
     }
 
     /// The interpreted tier: per-tick closure-tree evaluation over
-    /// [`Value`] slots.
+    /// [`Value`] slots, one output span per visited tick.
     fn run_interp(
         &self,
         bufs: &[Option<&SnapshotBuf<Value>>],
@@ -270,115 +255,37 @@ impl Kernel {
         if self.interp_fallback {
             self.fallback.fetch_add(1, Ordering::Relaxed);
         }
+        let Some(Drive { g_first, g_last, mut points, mut reduces }) =
+            self.start(bufs, range, out, &[])
+        else {
+            return;
+        };
         let mut ctx = self.program.new_ctx();
-        let program = &self.program;
-        self.drive(bufs, range, out, &[], &mut |points, reduces, g| {
-            eval_at(program, &mut ctx, points, reduces, g)
-        });
-    }
-
-    /// The compiled tier: per-tick register-bytecode evaluation. Point
-    /// accesses load through the typed [`SsCursor`] fast paths (no enum
-    /// clones for `F`/`I`/`B` slots), reduce results unbox straight into
-    /// their registers, and fused maps run as typed bytecode.
-    fn run_typed(
-        &self,
-        tp: &TypedProgram,
-        bufs: &[Option<&SnapshotBuf<Value>>],
-        range: TimeRange,
-        out: &mut SnapshotBuf<Value>,
-    ) {
-        let mut ctx = tp.new_ctx();
-        let modes = &self.reduce_modes;
-        self.drive(bufs, range, out, &tp.reduce_elem, &mut |points, reduces, g| {
-            ctx.t = g.ticks();
-            for (i, runner) in reduces.iter_mut().enumerate() {
-                let reg = tp.reduce_regs[i];
-                // Unboxed fold path: the typed map's `f64`/`i64` output
-                // feeds the monomorphized accumulator directly and the
-                // result lands in its register without a `Value` round
-                // trip — `fallback_ops` stays 0 for numeric plans.
-                if let Some(mode) = modes[i] {
-                    if reg.is_none_or(|r| r.class == mode.res) {
-                        let map = tp.typed_maps[i].as_ref().map(|m| (m, &mut ctx));
-                        runner.slide_typed(g, TypedFold { map, lanes: None });
-                        if let Some(reg) = reg {
-                            match mode.res {
-                                Class::F => ctx.store_f64(reg, runner.result_f()),
-                                Class::I => ctx.store_i64(reg, runner.result_i()),
-                                _ => unreachable!("typed result class is F or I"),
-                            }
-                        }
-                        continue;
-                    }
+        let mut g = g_first;
+        loop {
+            let v = eval_at(&self.program, &mut ctx, &mut points, &mut reduces, g);
+            match self.next_tick(g, g_last, &points, &reduces) {
+                Some(ng) => {
+                    // `v` holds for every tick in [g, ng − p].
+                    out.push_raw(ng - self.precision, v);
+                    g = ng;
                 }
-                let v = match &tp.typed_maps[i] {
-                    None => runner.eval_at_with(g, &mut |elem: &Value| elem.clone()),
-                    Some(map) => {
-                        let mut apply = |elem: &Value| map.run(&mut ctx, elem);
-                        runner.eval_at_with(g, &mut apply)
-                    }
-                };
-                if let Some(reg) = reg {
-                    if reg.class == Class::V {
-                        // Boxed reduce results (custom reducers, dynamic
-                        // elements) are fallback traffic.
-                        ctx.fallback_ops += 1;
-                    }
-                    ctx.store_value(reg, v);
+                None => {
+                    out.push_raw(g_last, v);
+                    break;
                 }
             }
-            for (i, runner) in points.iter_mut().enumerate() {
-                let t = g + runner.spec.offset;
-                match tp.point_regs[i] {
-                    Some(reg) => match reg.class {
-                        Class::F => {
-                            let (v, b) = runner.cursor.value_f64_and_boundary(t);
-                            ctx.store_f64(reg, v);
-                            runner.boundary = b;
-                        }
-                        Class::I => {
-                            let (v, b) = runner.cursor.value_i64_and_boundary(t);
-                            ctx.store_i64(reg, v);
-                            runner.boundary = b;
-                        }
-                        Class::B => {
-                            let (v, b) = runner.cursor.value_bool_and_boundary(t);
-                            ctx.store_bool(reg, v);
-                            runner.boundary = b;
-                        }
-                        Class::V => {
-                            let (v, b) = runner.cursor.value_ref_and_boundary(t);
-                            match v {
-                                Some(v) => ctx.load_value(reg, v),
-                                None => ctx.store_value(reg, Value::Null),
-                            }
-                            runner.boundary = b;
-                        }
-                    },
-                    // The value is never read, but the cursor must still
-                    // advance: `next_tick` steps on span boundaries.
-                    None => {
-                        let (_, b) = runner.cursor.value_ref_and_boundary(t);
-                        runner.boundary = b;
-                    }
-                }
-            }
-            tp.run(&mut ctx)
-        });
-        if ctx.fallback_ops > 0 {
-            self.fallback.fetch_add(ctx.fallback_ops, Ordering::Relaxed);
         }
-        if ctx.map_runs > 0 {
-            self.map_runs.fetch_add(ctx.map_runs, Ordering::Relaxed);
+        if g_last < range.end {
+            out.push_raw(range.end, Value::Null);
         }
     }
 
-    /// The batched tier: the same change-point stepping as [`Kernel::drive`],
-    /// but lanes accumulate while stepping stays dense (`next == g + p`) and
-    /// the typed body then executes **once per run** over columnar registers
-    /// (see [`super::batch`]) — one instruction dispatch per run instead of
-    /// per tick, φ checks one branch per 64 lanes. Each tick's window slides
+    /// The batched tier: the interpreter's change-point stepping, but lanes
+    /// accumulate while stepping stays dense (`next == g + p`) and the typed
+    /// body then executes **once per run** over columnar registers (see
+    /// [`super::batch`]) — one instruction dispatch per run instead of per
+    /// tick, φ checks one branch per 64 lanes. Each tick's window slides
     /// fold their entering spans a run at a time, with lane-gated fused
     /// maps executing over the same [`BatchCtx`] (map registers are
     /// disjoint from body registers). Point cursor reads and the slide
@@ -386,7 +293,7 @@ impl Kernel {
     /// [`SsCursor`] (constant-span stretches never re-search the buffer),
     /// and both carry the per-tick change-point state `next_tick` steps
     /// on, so stepping — and therefore output — is byte-identical to the
-    /// scalar tiers.
+    /// interpreter.
     fn run_batched(
         &self,
         tp: &TypedProgram,
@@ -395,42 +302,11 @@ impl Kernel {
         out: &mut SnapshotBuf<Value>,
     ) {
         let p = self.precision;
-        out.reset(range.start);
-        if range.is_empty() {
+        let Some(Drive { g_first, g_last, mut points, mut reduces }) =
+            self.start(bufs, range, out, &tp.reduce_elem)
+        else {
             return;
-        }
-        let g_first = Time::new(range.start.ticks() + 1).align_up(p);
-        let g_last = range.end.align_down(p);
-        if g_first > g_last {
-            out.push_raw(range.end, Value::Null);
-            return;
-        }
-
-        let buf_for = |obj: TObjId| -> &SnapshotBuf<Value> {
-            bufs.get(obj.index())
-                .and_then(|b| *b)
-                .unwrap_or_else(|| panic!("kernel {}: missing buffer for {obj}", self.name))
         };
-        let mut points: Vec<PointRunner<'_>> = self
-            .program
-            .points
-            .iter()
-            .map(|ps| PointRunner {
-                cursor: SsCursor::new(buf_for(ps.obj)),
-                spec: *ps,
-                boundary: None,
-            })
-            .collect();
-        let mut reduces: Vec<ReduceRunner<'_>> = self
-            .program
-            .reduces
-            .iter()
-            .enumerate()
-            .map(|(i, rs)| {
-                let class = tp.reduce_elem.get(i).copied().flatten();
-                ReduceRunner::with_elem_class(rs, buf_for(rs.obj), class)
-            })
-            .collect();
 
         // The scalar file holds prelude constants and hosts typed map
         // execution; columns are broadcast from it once per drive.
@@ -456,16 +332,11 @@ impl Kernel {
                             let lanes = if mode.lanes { Some(&mut bc) } else { None };
                             runner.slide_typed(gk, TypedFold { map, lanes });
                         }
-                        // Result provably φ (no register): the window still
-                        // slides dynamically so `next_tick` sees its state.
+                        // The fused map is provably φ (no register): it drops
+                        // every element, but the window still slides so
+                        // `next_tick` sees its state.
                         None => {
-                            let _ = match &tp.typed_maps[i] {
-                                None => runner.eval_at_with(gk, &mut |e: &Value| e.clone()),
-                                Some(map) => {
-                                    let mut apply = |e: &Value| map.run(&mut ctx, e);
-                                    runner.eval_at_with(gk, &mut apply)
-                                }
-                            };
+                            let _ = runner.eval_at_with(gk, &mut |_: &Value| Value::Null);
                         }
                     }
                     if let Some(reg) = tp.reduce_regs[i] {
@@ -496,7 +367,7 @@ impl Kernel {
                                 runner.boundary = b;
                             }
                             Class::V => {
-                                unreachable!("batch gate admits only typed point registers")
+                                unreachable!("typed programs allocate no V register")
                             }
                         },
                         None => {
@@ -550,35 +421,32 @@ impl Kernel {
         if g_last < range.end {
             out.push_raw(range.end, Value::Null);
         }
-        if ctx.fallback_ops > 0 {
-            self.fallback.fetch_add(ctx.fallback_ops, Ordering::Relaxed);
-        }
         if ctx.map_runs > 0 {
             self.map_runs.fetch_add(ctx.map_runs, Ordering::Relaxed);
         }
     }
 
-    /// The shared loop skeleton of both tiers: change-point-driven stepping
-    /// over the grid, one `eval_tick` call per visited tick.
-    #[allow(clippy::type_complexity)]
-    fn drive(
-        &self,
-        bufs: &[Option<&SnapshotBuf<Value>>],
+    /// The setup both tiers share: resets `out` and resolves the range's
+    /// grid ticks, then opens a cursor per point access and a runner per
+    /// reduce (typed accumulators per `reduce_classes`). `None` when the
+    /// range holds no grid tick; `out` is then complete.
+    fn start<'b>(
+        &'b self,
+        bufs: &[Option<&'b SnapshotBuf<Value>>],
         range: TimeRange,
         out: &mut SnapshotBuf<Value>,
         reduce_classes: &[Option<Class>],
-        eval_tick: &mut dyn FnMut(&mut [PointRunner<'_>], &mut [ReduceRunner<'_>], Time) -> Value,
-    ) {
+    ) -> Option<Drive<'b>> {
         let p = self.precision;
         out.reset(range.start);
         if range.is_empty() {
-            return;
+            return None;
         }
         let g_first = Time::new(range.start.ticks() + 1).align_up(p);
         let g_last = range.end.align_down(p);
         if g_first > g_last {
             out.push_raw(range.end, Value::Null);
-            return;
+            return None;
         }
 
         let buf_for = |obj: TObjId| -> &SnapshotBuf<Value> {
@@ -586,7 +454,7 @@ impl Kernel {
                 .and_then(|b| *b)
                 .unwrap_or_else(|| panic!("kernel {}: missing buffer for {obj}", self.name))
         };
-        let mut points: Vec<PointRunner<'_>> = self
+        let points = self
             .program
             .points
             .iter()
@@ -596,7 +464,7 @@ impl Kernel {
                 boundary: None,
             })
             .collect();
-        let mut reduces: Vec<ReduceRunner<'_>> = self
+        let reduces = self
             .program
             .reduces
             .iter()
@@ -606,25 +474,7 @@ impl Kernel {
                 ReduceRunner::with_elem_class(rs, buf_for(rs.obj), class)
             })
             .collect();
-
-        let mut g = g_first;
-        loop {
-            let v = eval_tick(&mut points, &mut reduces, g);
-            match self.next_tick(g, g_last, &points, &reduces) {
-                Some(ng) => {
-                    // `v` holds for every tick in [g, ng − p].
-                    out.push_raw(ng - p, v);
-                    g = ng;
-                }
-                None => {
-                    out.push_raw(g_last, v);
-                    break;
-                }
-            }
-        }
-        if g_last < range.end {
-            out.push_raw(range.end, Value::Null);
-        }
+        Some(Drive { g_first, g_last, points, reduces })
     }
 
     /// The next grid tick (≤ `g_last`) at which any access may change value.
@@ -696,18 +546,15 @@ impl Profiler for Kernel {
 pub struct KernelProfile {
     /// The kernel's human-readable name (its object's query name).
     pub name: String,
-    /// Whether the typed (compiled) tier was lowered.
-    pub compiled: bool,
-    /// Whether the typed body executes batched (runs of ticks per
-    /// dispatch).
+    /// Whether the kernel executes a typed body batched (runs of ticks per
+    /// dispatch) rather than on the interpreter.
     pub batched: bool,
-    /// Whether the typed tier never touches the dynamic enum.
-    pub fully_typed: bool,
     /// Timed invocations (0 unless profiling was enabled).
     pub invocations: u64,
     /// Total wall nanoseconds across timed invocations.
     pub nanos: u64,
-    /// Enum-touching fallback operations (counted even when untimed).
+    /// Interpreted runs of a kernel typed lowering could not take
+    /// (counted even when untimed).
     pub fallback_ops: u64,
     /// Fused window-map executions (counted even when untimed); bounded by
     /// elements accumulated — the map-once-per-element invariant.
@@ -732,6 +579,14 @@ impl KernelProfile {
             self.fallback_ops as f64 / self.invocations as f64
         }
     }
+}
+
+/// A drive's grid ticks and access state, from [`Kernel::start`].
+struct Drive<'a> {
+    g_first: Time,
+    g_last: Time,
+    points: Vec<PointRunner<'a>>,
+    reduces: Vec<ReduceRunner<'a>>,
 }
 
 /// One point access during kernel execution: a cursor plus the cached end of

@@ -2,32 +2,29 @@
 //! (paper §6.1).
 //!
 //! The pipeline is `TempExpr` → executable body → [`Kernel`] (the
-//! synthesized change-point-driven loop). Kernel bodies exist in **three
+//! synthesized change-point-driven loop). Kernel bodies run on one of **two
 //! tiers**:
 //!
 //! * the *interpreted* tier ([`Program`]) — a tree of composed closures
 //!   matching on the dynamic [`tilt_data::Value`] enum at every node; the
-//!   reference semantics;
-//! * the *per-tick typed* tier (the `compiled` module, built by
-//!   [`lower_typed`]) — the type checker assigns every sub-expression a
-//!   static type and the body is monomorphized into register bytecode
-//!   over unboxed `f64`/`i64`/`bool` files with an explicit null mask for
-//!   φ, falling back to boxed `Value` registers only for `Str`/`Tuple`
-//!   subtrees, custom reductions, and genuinely dynamic values;
-//! * the *batched* tier (the `batch` module) — the same bytecode executed
-//!   over a **run** of grid ticks at once: columnar registers, one
-//!   dispatch per instruction per run instead of per tick, word-level
-//!   φ masks (one branch per 64 lanes), and plain slice loops the
-//!   compiler auto-vectorizes. Only fully typed straight-line bodies
-//!   qualify (see `batch::batchable`); everything else transparently
-//!   executes per-tick.
+//!   reference semantics, and the home of every body the typed compiler
+//!   cannot take (`Str`/`Tuple` values, custom reductions, mixed-class or
+//!   possibly trapping `if`s);
+//! * the *batched* tier (the `batch` module) — the type checker assigns
+//!   every sub-expression a static type, the body is monomorphized into
+//!   straight-line register bytecode over unboxed `f64`/`i64`/`bool` files
+//!   with an explicit null mask for φ (the `compiled` module, built by
+//!   [`lower_typed`]), and that bytecode executes over a **run** of grid
+//!   ticks at once: columnar registers, one dispatch per instruction per
+//!   run, word-level φ masks (one branch per 64 lanes), and plain slice
+//!   loops the compiler auto-vectorizes. A body runs batched when it
+//!   compiles and passes the batch gate (see `batch::batchable`).
 //!
-//! All tiers share one loop skeleton, one slot layout, and one set of
-//! incremental reduce runners, so their outputs are byte-identical; the
-//! typed tiers simply replace per-tick enum interpretation with typed
-//! register traffic, and the batched tier amortizes the remaining
-//! dispatch. See DESIGN.md substitution 1 for how this stands in for the
-//! paper's LLVM JIT.
+//! Both tiers share one stepping rule, one slot layout, and one set of
+//! incremental reduce runners, so their outputs are byte-identical. The
+//! batched tier stands in for the paper's LLVM JIT: where TiLT emits one
+//! compiled loop per fused expression, this repo emits typed bytecode whose
+//! per-instruction dispatch is amortized over a run of ticks.
 
 mod batch;
 pub(crate) mod compiled;
@@ -52,17 +49,16 @@ pub fn lower(query: &Query) -> Result<Vec<Kernel>> {
 }
 
 /// Lowers every temporal expression of `query` into a kernel carrying the
-/// interpreter body plus the typed register bytecode, in execution
+/// interpreter body plus, where it compiles and passes the batch gate, the
+/// typed register bytecode the batched tier runs, in execution
 /// (topological) order. `types` must come from [`crate::ir::typecheck`]
-/// over this exact query. When `batched` is set, kernels whose bodies pass
-/// the batch gate drive the bytecode over runs of ticks; the rest execute
-/// per-tick.
+/// over this exact query.
 ///
-/// Object register classes thread through the kernel chain: a kernel whose
-/// body stayed dynamic (or whose output type is genuinely runtime-varying)
-/// produces a `V`-classed object, and downstream kernels read it through
-/// boxed registers — so fallback is per-subtree, never whole-query.
-pub fn lower_typed(query: &Query, types: &TypeInfo, batched: bool) -> Result<Vec<Kernel>> {
+/// Object register classes thread through the kernel chain: a kernel that
+/// stays on the interpreter produces a `V`-classed object, and a downstream
+/// kernel that reads its values stays interpreted too — so fallback is
+/// per-kernel, never whole-query.
+pub fn lower_typed(query: &Query, types: &TypeInfo) -> Result<Vec<Kernel>> {
     let mut classes: HashMap<crate::ir::TObjId, compiled::Class> = HashMap::new();
     for &input in query.inputs() {
         let class = types.object_type(input).map_or(compiled::Class::V, compiled::Class::of_type);
@@ -70,7 +66,7 @@ pub fn lower_typed(query: &Query, types: &TypeInfo, batched: bool) -> Result<Vec
     }
     let mut kernels = Vec::with_capacity(query.exprs().len());
     for te in query.exprs() {
-        let kernel = Kernel::with_types(te, query.name(te.output), types, &classes, batched)?;
+        let kernel = Kernel::with_types(te, query.name(te.output), types, &classes)?;
         classes.insert(te.output, kernel.output_class());
         kernels.push(kernel);
     }

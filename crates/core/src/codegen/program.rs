@@ -1,7 +1,8 @@
 //! Closure-compiled expression programs.
 //!
-//! This is the reproduction's stand-in for the paper's LLVM lowering (see
-//! DESIGN.md, substitution 1): the expression tree of a fused temporal
+//! This is the interpreted tier, the reference semantics beside the batched
+//! typed bytecode that stands in for the paper's LLVM lowering (see
+//! `super`): the expression tree of a fused temporal
 //! expression is *compiled once* into a tree of composed Rust closures. At
 //! run time there is no IR walking, matching, or environment lookup by name —
 //! each node is a direct virtual call reading pre-resolved slots:

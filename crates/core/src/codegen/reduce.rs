@@ -56,7 +56,7 @@ const SHORT_RUN: usize = 8;
 /// The accumulator of one reduction.
 ///
 /// The dynamic variants fold boxed [`Value`]s; the `*F`/`*I` variants are
-/// the typed tier's unboxed counterparts, selected when the window's
+/// the batched tier's unboxed counterparts, selected when the window's
 /// element class is statically `f64`/`i64` ([`ReduceRunner::with_elem_class`]).
 /// Each typed variant replays the exact operation sequence of its dynamic
 /// twin (including int-wrapping and promotion order), so results are
@@ -849,7 +849,7 @@ impl<'a> ReduceRunner<'a> {
     /// Slides the window to `(t+lo, t+hi]` and returns the reduction
     /// result, with the fused element transform supplied as a closure —
     /// identity for unmapped windows, the interpreted [`MapFn`] via
-    /// [`ReduceRunner::eval_at`], or the typed tier's boxed map. A φ
+    /// [`ReduceRunner::eval_at`], or a map that drops every element. A φ
     /// result from `map` drops the element, exactly like a φ source span.
     pub fn eval_at_with(&mut self, t: Time, map: &mut dyn FnMut(&Value) -> Value) -> Value {
         self.slide(t, &mut FoldKind::Dyn(map));
@@ -857,7 +857,7 @@ impl<'a> ReduceRunner<'a> {
     }
 
     /// Typed slide: entering spans fold unboxed, a run at a time, through
-    /// `fold` — the batched and per-tick typed tiers' path when
+    /// `fold` — the batched tier's path when
     /// [`typed_fold_class`] applies. Read the result afterwards with
     /// [`ReduceRunner::result_f`] or [`ReduceRunner::result_i`] per the
     /// operation's result class.

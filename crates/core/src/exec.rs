@@ -28,15 +28,11 @@ use crate::opt::Optimizer;
 pub enum ExecTier {
     /// Typed register bytecode executed over *runs* of grid ticks at once:
     /// columnar registers, word-level φ masks, one dispatch per instruction
-    /// per run (the default). Kernels whose bodies don't pass the batch
-    /// gate transparently execute per-tick, so this tier is always safe to
-    /// select.
+    /// per run (the default). Kernels whose bodies don't compile to typed
+    /// bytecode or don't pass the batch gate transparently run on the
+    /// interpreter, so this tier is always safe to select.
     #[default]
     Batched,
-    /// Typed register bytecode over unboxed values, dispatched once per
-    /// grid tick, with per-subtree fallback to boxed `Value` operations —
-    /// the scalar reference for the batched tier.
-    Compiled,
     /// The closure-tree interpreter over dynamic `Value`s only — the
     /// reference tier, kept selectable for differential testing and the
     /// `kernel_hot` tier-vs-tier bench.
@@ -77,7 +73,7 @@ impl Compiler {
     }
 
     /// A fully optimized compiler pinned to the interpreter tier — the
-    /// reference executor the differential suites compare the typed tier
+    /// reference executor the differential suites compare the batched tier
     /// against.
     pub fn interpreted() -> Self {
         Compiler { optimizer: Optimizer::full(), tier: ExecTier::Interpreted }
@@ -105,8 +101,7 @@ impl Compiler {
         let types = typecheck(&optimized)?;
         let boundary = resolve_boundaries(&optimized);
         let kernels = match self.tier {
-            ExecTier::Batched => lower_typed(&optimized, &types, true)?,
-            ExecTier::Compiled => lower_typed(&optimized, &types, false)?,
+            ExecTier::Batched => lower_typed(&optimized, &types)?,
             ExecTier::Interpreted => lower(&optimized)?,
         };
         let n_slots = slot_count(&optimized);
@@ -177,31 +172,26 @@ impl CompiledQuery {
         self.tier
     }
 
-    /// Number of kernels carrying a typed (compiled-tier) body.
-    pub fn compiled_kernels(&self) -> usize {
-        self.kernels.iter().filter(|k| k.is_compiled()).count()
-    }
-
-    /// Whether every kernel lowered to the typed tier with *zero* fallback
-    /// surface — no boxed registers, no dynamic operations, no custom
+    /// Whether every kernel runs a typed body on the batched tier, with
+    /// *zero* fallback surface — no `Str`/`Tuple` values, no custom
     /// reductions. Fully numeric plans satisfy this; the `kernel_hot`
     /// bench guardrail pins it.
     pub fn fully_typed(&self) -> bool {
-        self.tier != ExecTier::Interpreted && self.kernels.iter().all(Kernel::is_fully_typed)
+        self.tier != ExecTier::Interpreted && self.kernels.iter().all(Kernel::is_batched)
     }
 
     /// Number of kernels whose typed body executes batched (runs of ticks
     /// per dispatch). Zero unless compiled at [`ExecTier::Batched`]; on
-    /// that tier, kernels rejected by the batch gate execute per-tick and
-    /// don't count.
+    /// that tier, kernels the typed compiler or the batch gate rejects run
+    /// on the interpreter and don't count.
     pub fn batched_kernels(&self) -> usize {
         self.kernels.iter().filter(|k| k.is_batched()).count()
     }
 
-    /// Total enum-touching (fallback) operations executed by the typed
-    /// tier across every run of this query so far. Stays 0 for
-    /// [`CompiledQuery::fully_typed`] plans; interpreter-only kernels
-    /// inside a compiled query count one per run.
+    /// Total fallback operations across every run of this query so far:
+    /// one per run of each kernel that [`ExecTier::Batched`] lowering left
+    /// on the interpreter. Stays 0 for [`CompiledQuery::fully_typed`]
+    /// plans and for queries compiled at [`ExecTier::Interpreted`].
     pub fn fallback_ops(&self) -> u64 {
         self.kernels.iter().map(Kernel::fallback_ops).sum()
     }

@@ -11,12 +11,13 @@
 //!    pipeline breakers (paper §5.2);
 //! 4. [`codegen`] — temporal expressions are lowered to loop kernels over
 //!    snapshot buffers with incremental reduction state (paper §6.1).
-//!    Kernel bodies carry two execution tiers: typed register bytecode
-//!    over unboxed `f64`/`i64`/`bool` files (the default, with per-subtree
-//!    fallback to boxed `Value` operations for `Str`/`Tuple` and custom
-//!    reductions) and the closure-tree `Value` interpreter
-//!    ([`ExecTier::Interpreted`]), kept byte-identical for differential
-//!    testing;
+//!    Kernel bodies run on one of two tiers: typed register bytecode over
+//!    unboxed `f64`/`i64`/`bool` columns, executed a run of ticks at a
+//!    time ([`ExecTier::Batched`], the default), or the closure-tree
+//!    `Value` interpreter ([`ExecTier::Interpreted`]) — the reference, and
+//!    the per-kernel fallback for bodies the typed compiler cannot take
+//!    (`Str`/`Tuple` values, custom reductions). Both are byte-identical
+//!    for differential testing;
 //! 5. [`exec`] — kernels run serially, data-parallel over boundary-resolved
 //!    partitions, or in batched streaming mode (paper §6.2).
 //!

@@ -1,14 +1,14 @@
 //! Null masks for typed register files and batched lane columns.
 //!
-//! The typed kernel tier in `tilt-core` executes numeric expressions over
+//! The batched kernel tier in `tilt-core` executes numeric expressions over
 //! unboxed `f64`/`i64`/`bool` registers; φ ("no value") then lives out of
 //! band in a [`NullMask`] — one flag per slot — instead of inside a
 //! tagged [`crate::Value`], so the hot loop never touches the payload enum
 //! to test for φ.
 //!
-//! Flags are bit-packed into `u64` words. The per-tick tier pays one
-//! read-modify-write per flag store (measured in the noise next to the
-//! dispatch loop around it), and in exchange the *batched* tier gets what
+//! Flags are bit-packed into `u64` words. Scalar register files (the
+//! constant prelude, fused maps run one element at a time) pay one
+//! read-modify-write per flag store, and in exchange lane columns get what
 //! byte-backed flags cannot give: word-level φ algebra. A mask over a run
 //! of ticks answers [`NullMask::none_null`] / [`NullMask::all_null`] with
 //! one branch per 64 slots, combines operand masks with

@@ -1,5 +1,4 @@
-//! Synthetic dataset generators standing in for the paper's gated datasets
-//! (DESIGN.md substitution 2).
+//! Synthetic dataset generators standing in for the paper's gated datasets.
 //!
 //! Every generator is deterministic in its seed, emits events in time order,
 //! and matches the event-rate/payload shape of the dataset it replaces:

@@ -2,7 +2,7 @@
 //! Table 2, the Yahoo Streaming Benchmark, and the primitive-operation
 //! micro-benchmarks, wired to every engine in the workspace.
 //!
-//! * [`gen`] — deterministic synthetic datasets (DESIGN.md substitution 2);
+//! * [`gen`] — deterministic synthetic stand-ins for the paper's datasets;
 //! * [`apps`] — the benchmark suite of Fig. 7b / Fig. 9;
 //! * [`ysb`] — YSB for all five engines (Table 1, Fig. 8);
 //! * [`ops`] — Select / Where / WSum / Join micro-benchmarks (Fig. 7a).

@@ -6,7 +6,8 @@
 use tilt_core::ir::print_query;
 use tilt_core::Compiler;
 use tilt_data::{streams_close, Event, SnapshotBuf, Time, TimeRange, Value};
-use tilt_workloads::{all_apps, ysb};
+use tilt_query::{Agg, LogicalPlan, NodeId};
+use tilt_workloads::{all_apps, gen, ops, ysb};
 
 /// Every application: reference, TiLT (fused + unfused), Trill, and batched
 /// streaming all agree on the same input.
@@ -162,4 +163,58 @@ fn trend_query_fusion_structure() {
     assert_eq!(fused.num_kernels(), 1);
     assert_eq!(unfused.num_kernels(), 4);
     assert_eq!(fused.boundary().max_input_lookback(fused.query()), 20);
+}
+
+/// Compiles `plan` with the default compiler, runs it once over `inputs`,
+/// and returns `(batched kernels, kernels, fallback ops)`.
+fn tiers_after_one_run(plan: &LogicalPlan, out: NodeId, inputs: &[Vec<Event<Value>>]) -> [u64; 3] {
+    let q = tilt_query::lower(plan, out).unwrap();
+    let cq = Compiler::new().compile(&q).unwrap();
+    let hi = inputs.iter().flat_map(|evs| evs.last()).map(|e| e.end).max().unwrap();
+    let range = TimeRange::new(Time::ZERO, hi.align_up(cq.grid()));
+    let bufs: Vec<SnapshotBuf<Value>> =
+        inputs.iter().map(|evs| SnapshotBuf::from_events(evs, range)).collect();
+    let refs: Vec<&SnapshotBuf<Value>> = bufs.iter().collect();
+    cq.run(&refs, range);
+    [cq.batched_kernels() as u64, cq.num_kernels() as u64, cq.fallback_ops()]
+}
+
+/// Pins the tier of every workload kernel, so that a gate or lowering
+/// change cannot move a workload onto the interpreter unnoticed: the
+/// benchmark's plans (YSB, the YSB factor query, an 8-wide sliding `Sum`),
+/// the four Fig. 7a ops and the Fig. 7b apps run fully batched. Vibration
+/// keeps exactly one batched kernel; its custom reductions and tuples run
+/// on the interpreter.
+#[test]
+fn workload_kernels_run_batched() {
+    let window = ysb::window_ticks(50);
+    let ads = ysb::partition(&ysb::generate(2_000, 4, 7), 4).swap_remove(0);
+    let mut sliding = LogicalPlan::new();
+    let x = sliding.source("x", tilt_core::ir::DataType::Float);
+    let sum = sliding.window(x, 8, 1, Agg::Sum);
+    let (ysb_plan, ysb_out) = ysb::plan(window);
+    let (factor_plan, factor_out) = ysb::factor_plan(window, ysb::FACTOR);
+    let mut cases = vec![
+        ("YSB".to_string(), ysb_plan, ysb_out, vec![ads.clone()]),
+        ("YSB factor".to_string(), factor_plan, factor_out, vec![ads]),
+        ("sliding Sum".to_string(), sliding, sum, vec![gen::uniform_floats(500, 3)]),
+    ];
+    for op in ops::PrimitiveOp::ALL {
+        let (plan, out) = ops::plan(op);
+        cases.push((op.name().to_string(), plan, out, ops::datasets(op, 500, 5)));
+    }
+    for app in all_apps() {
+        let events = (app.dataset)(500, 13);
+        cases.push((app.name.to_string(), app.plan, app.output, vec![events]));
+    }
+    for (name, plan, out, inputs) in &cases {
+        let [batched, kernels, fallback] = tiers_after_one_run(plan, *out, inputs);
+        if name == "Vibration" {
+            assert_eq!(batched, 1, "{name}: {batched}/{kernels} kernels batched");
+            assert!(fallback > 0, "{name}: interpreted kernels count as fallback");
+        } else {
+            assert_eq!(batched, kernels, "{name}: {batched}/{kernels} kernels batched");
+            assert_eq!(fallback, 0, "{name}: fallback ops");
+        }
+    }
 }
