@@ -99,7 +99,6 @@ impl Init {
             Class::F => &mut self.f,
             Class::I => &mut self.i,
             Class::B => &mut self.b,
-            Class::V => unreachable!("typed programs allocate no V register"),
         }
     }
 
@@ -346,7 +345,8 @@ fn select_lanes<T: Copy>(
 /// Bulk-loads a run of spans into lane column `col` through `unbox`
 /// (`None` = φ, leaving the lane's slot untouched). Word `w` of `null`
 /// receives the φ flags of lanes `64w..64w + 64`, and word `w` of
-/// `present` the lanes whose span is not φ.
+/// `present` the lanes whose payload unboxed (its complement within the
+/// run).
 pub(crate) fn load_run<T: Copy>(
     run: &[Span<Value>],
     col: &mut [T],
@@ -358,10 +358,12 @@ pub(crate) fn load_run<T: Copy>(
         let (mut nw, mut pw) = (0u64, 0u64);
         for (j, (s, d)) in chunk.iter().zip(&mut col[w * 64..]).enumerate() {
             match unbox(&s.value) {
-                Some(x) => *d = x,
+                Some(x) => {
+                    *d = x;
+                    pw |= 1 << j;
+                }
                 None => nw |= 1 << j,
             }
-            pw |= u64::from(!matches!(s.value, Value::Null)) << j;
         }
         null[w] = nw;
         present[w] = pw;
@@ -460,9 +462,10 @@ impl BatchCtx {
     /// Runs a lane-gated fused window map over `run` (at most
     /// [`MAX_BATCH`] entering spans) at clock `t` — every lane reads the
     /// slide's grid tick, so the map executes with a constant clock. Bit
-    /// `j` of `folded` is set iff span `j` is not φ and maps to a non-φ
-    /// value, which lands in `vals[j]` (`f64` bits or `i64`). Returns the
-    /// map executions: the non-φ spans.
+    /// `j` of `folded` is set iff span `j` reads as the map's input class
+    /// ([`Class::reads`]) and maps to a non-φ value, which lands in
+    /// `vals[j]` (`f64` bits or `i64`). Returns the map executions: the
+    /// spans that read.
     pub(crate) fn map_run(
         &mut self,
         map: &TypedMap,
@@ -488,7 +491,6 @@ impl BatchCtx {
                 let null = self.nb[var].words_mut();
                 load_run(run, &mut self.b[c..c + k], null, &mut present, Value::as_bool);
             }
-            Class::V => unreachable!("typed programs allocate no V register"),
         }
         self.exec(&map.instrs, t, 0, k);
         let words = k.div_ceil(64);
@@ -543,7 +545,6 @@ impl BatchCtx {
                     Class::F => self.nf[dst.idx as usize].set_range(0, k, true),
                     Class::I => self.ni[dst.idx as usize].set_range(0, k, true),
                     Class::B => self.nb[dst.idx as usize].set_range(0, k, true),
-                    Class::V => unreachable!("typed programs allocate no V register"),
                 },
                 Instr::Time { dst } => {
                     let dcol = &mut self.i[*dst as usize * cap..][..k];
@@ -859,7 +860,6 @@ impl BatchCtx {
                         Class::F => &self.nf[a.idx as usize],
                         Class::I => &self.ni[a.idx as usize],
                         Class::B => &self.nb[a.idx as usize],
-                        Class::V => unreachable!("typed programs allocate no V register"),
                     };
                     let d = &mut self.b[*dst as usize * cap..][..k];
                     if mask.none_null(k) {
@@ -910,7 +910,6 @@ impl BatchCtx {
                             select_lanes(k, ccol, cmask, src(*t), src(*f), d, &mut self.scratch);
                             std::mem::swap(&mut self.nb[dst.idx as usize], &mut self.scratch);
                         }
-                        Class::V => unreachable!("typed programs allocate no V register"),
                     }
                 }
             }

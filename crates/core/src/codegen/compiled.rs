@@ -18,9 +18,9 @@
 //! cannot express fails [`compile_typed`] and its whole kernel stays on the
 //! interpreter: `Str` and `Tuple` values, custom reductions, an `if` whose
 //! branches differ in class (the taken branch's unpromoted value is
-//! observable), and an `if` with a branch that could trap. Boxed `V`
-//! registers do not exist; `Class::V` only marks objects produced by such
-//! interpreted kernels, and [`TypedCompiler::alloc`] rejects it.
+//! observable), and an `if` with a branch that could trap. There are no
+//! boxed registers: such a subtree has no [`Class`], and neither has an
+//! object that such an interpreted kernel produces.
 //!
 //! Typed and interpreted kernels are *byte-identical* on well-typed data:
 //! the differential property suite (`tests/compiled_tier_properties.rs`)
@@ -49,20 +49,29 @@ pub(crate) enum Class {
     I,
     /// Unboxed `bool`.
     B,
-    /// Boxed [`Value`]: the class of an object whose kernel runs on the
-    /// interpreter. No typed register has it.
-    V,
 }
 
 impl Class {
-    /// The class representing payloads of declared type `ty`.
-    pub(crate) fn of_type(ty: &DataType) -> Class {
+    /// The class representing payloads of declared type `ty`, or `None`
+    /// when they stay boxed.
+    pub(crate) fn of_type(ty: &DataType) -> Option<Class> {
         match ty {
-            DataType::Float => Class::F,
-            DataType::Int => Class::I,
-            DataType::Bool => Class::B,
+            DataType::Float => Some(Class::F),
+            DataType::Int => Some(Class::I),
+            DataType::Bool => Some(Class::B),
             // Unknown inputs carry arbitrary runtime payloads: stay boxed.
-            DataType::Str | DataType::Tuple(_) | DataType::Unknown => Class::V,
+            DataType::Str | DataType::Tuple(_) | DataType::Unknown => None,
+        }
+    }
+
+    /// Whether payload `v` reads as a non-φ value of this class under
+    /// [`Value`]'s unboxing rule (the rule [`TypedCtx::load_value`]
+    /// applies).
+    pub(crate) fn reads(self, v: &Value) -> bool {
+        match self {
+            Class::F => v.as_f64().is_some(),
+            Class::I => v.as_i64().is_some(),
+            Class::B => v.as_bool().is_some(),
         }
     }
 }
@@ -419,7 +428,6 @@ impl TypedCtx {
             Class::F => self.nf.set(r.idx as usize, true),
             Class::I => self.ni.set(r.idx as usize, true),
             Class::B => self.nb.set(r.idx as usize, true),
-            Class::V => unreachable!("typed programs allocate no V register"),
         }
     }
 
@@ -430,7 +438,6 @@ impl TypedCtx {
             Class::F => self.nf.get(r.idx as usize),
             Class::I => self.ni.get(r.idx as usize),
             Class::B => self.nb.get(r.idx as usize),
-            Class::V => unreachable!("typed programs allocate no V register"),
         }
     }
 
@@ -459,17 +466,18 @@ impl TypedCtx {
 
     /// Loads a payload into `r` by reference (φ on class mismatch, with
     /// int → float coercion on the `F` file, mirroring [`Value::as_f64`]).
+    /// Returns whether the payload read as a non-φ value.
     #[inline]
-    pub(crate) fn load_value(&mut self, r: Reg, v: &Value) {
+    pub(crate) fn load_value(&mut self, r: Reg, v: &Value) -> bool {
         let loaded = match r.class {
             Class::F => v.as_f64().map(|x| self.set_f(r.idx, x)),
             Class::I => v.as_i64().map(|x| self.set_i(r.idx, x)),
             Class::B => v.as_bool().map(|x| self.set_b(r.idx, x)),
-            Class::V => unreachable!("typed programs allocate no V register"),
         };
         if loaded.is_none() {
             self.set_null(r);
         }
+        loaded.is_some()
     }
 }
 
@@ -494,10 +502,13 @@ impl TypedMap {
     /// Applies the map to one window element and reads the root as an
     /// unboxed `f64` (`None` = φ) — the typed reduce fold path when
     /// [`TypedMap::fold_class`] is `Some(Class::F)`. No boxed `Value` is
-    /// built on either side.
+    /// built on either side. An element that reads as φ in the map's input
+    /// class (see [`Class::reads`]) does not run the map.
     pub(crate) fn run_f64(&self, ctx: &mut TypedCtx, elem: &Value) -> Option<f64> {
+        if !ctx.load_value(self.var, elem) {
+            return None;
+        }
         ctx.map_runs += 1;
-        ctx.load_value(self.var, elem);
         exec(&self.instrs, ctx);
         let r = self.root?;
         debug_assert_eq!(r.class, Class::F);
@@ -509,10 +520,13 @@ impl TypedMap {
         }
     }
 
-    /// Applies the map and reads the root as an unboxed `i64` (`None` = φ).
+    /// Applies the map and reads the root as an unboxed `i64` (`None` = φ),
+    /// like [`TypedMap::run_f64`].
     pub(crate) fn run_i64(&self, ctx: &mut TypedCtx, elem: &Value) -> Option<i64> {
+        if !ctx.load_value(self.var, elem) {
+            return None;
+        }
         ctx.map_runs += 1;
-        ctx.load_value(self.var, elem);
         exec(&self.instrs, ctx);
         let r = self.root?;
         debug_assert_eq!(r.class, Class::I);
@@ -568,9 +582,10 @@ impl TypedProgram {
     }
 
     /// The register class of the kernel's output values (what downstream
-    /// consumers of the output buffer should assume).
-    pub(crate) fn output_class(&self) -> Class {
-        self.root.map_or(Class::V, |r| r.class)
+    /// consumers of the output buffer should assume), or `None` for an
+    /// output that is provably φ.
+    pub(crate) fn output_class(&self) -> Option<Class> {
+        self.root.map(|r| r.class)
     }
 }
 
@@ -829,8 +844,8 @@ impl Out {
 /// the *same* slots so both tiers share cursors, reduce runners, and
 /// change-point stepping. `objs` resolves temporal-object payload types
 /// (from [`TypeInfo`]); `classes` gives each upstream object's register
-/// class — `V` for objects produced by interpreted kernels, whose buffers
-/// may hold runtime types the static type does not pin down.
+/// class — `None` for objects produced by interpreted kernels, whose
+/// buffers may hold runtime types the static type does not pin down.
 ///
 /// # Errors
 ///
@@ -841,7 +856,7 @@ pub(crate) fn compile_typed(
     body: &Expr,
     program: &Program,
     objs: &dyn Fn(TObjId) -> Result<DataType>,
-    classes: &HashMap<TObjId, Class>,
+    classes: &HashMap<TObjId, Option<Class>>,
 ) -> Result<TypedProgram> {
     let mut cc = TypedCompiler {
         program,
@@ -938,7 +953,7 @@ fn mixed(op: BinOp) -> CompileError {
     CompileError::Invalid(format!("typed tier: no instruction for mixed-class {op}"))
 }
 
-/// The error of a subtree that needs a boxed `V` value.
+/// The error of a subtree that needs a boxed value.
 fn boxed() -> CompileError {
     CompileError::Invalid("typed tier: boxed value (the kernel stays interpreted)".into())
 }
@@ -946,7 +961,7 @@ fn boxed() -> CompileError {
 struct TypedCompiler<'a> {
     program: &'a Program,
     objs: &'a dyn Fn(TObjId) -> Result<DataType>,
-    classes: &'a HashMap<TObjId, Class>,
+    classes: &'a HashMap<TObjId, Option<Class>>,
     env: HashMap<VarId, (Option<Reg>, DataType)>,
     /// Run-once constant materialization (see [`TypedProgram::new_ctx`]).
     prelude: Vec<Instr>,
@@ -966,15 +981,12 @@ struct TypedCompiler<'a> {
 }
 
 impl TypedCompiler<'_> {
-    /// Allocates a fresh register of `class`. This is where a subtree that
-    /// needs a boxed value fails the typed compile: `V` is rejected, so its
-    /// kernel runs on the interpreter.
+    /// Allocates a fresh register of `class`.
     fn alloc(&mut self, class: Class) -> Result<Reg> {
         let slot = match class {
             Class::F => 0,
             Class::I => 1,
             Class::B => 2,
-            Class::V => return Err(boxed()),
         };
         let idx = self.n_regs[slot];
         if idx == u16::MAX {
@@ -984,9 +996,15 @@ impl TypedCompiler<'_> {
         Ok(Reg { class, idx })
     }
 
-    /// The register class of upstream object `obj` with payload type `ty`.
-    fn obj_class(&self, obj: TObjId, ty: &DataType) -> Class {
-        self.classes.get(&obj).copied().unwrap_or_else(|| Class::of_type(ty))
+    /// The register class of upstream object `obj` with payload type `ty`;
+    /// a boxed object (one an interpreted kernel produces, or of a boxed
+    /// type) fails the typed compile.
+    fn obj_class(&self, obj: TObjId, ty: &DataType) -> Result<Class> {
+        let class = match self.classes.get(&obj) {
+            Some(class) => *class,
+            None => Class::of_type(ty),
+        };
+        class.ok_or_else(boxed)
     }
 
     /// Allocates a register holding φ (a materialized folded-null operand;
@@ -1100,7 +1118,7 @@ impl TypedCompiler<'_> {
                 if let Some(r) = self.point_regs[slot] {
                     return Ok(Out::Reg(r, ty));
                 }
-                let r = self.alloc(self.obj_class(*obj, &ty))?;
+                let r = self.alloc(self.obj_class(*obj, &ty)?)?;
                 self.point_regs[slot] = Some(r);
                 Ok(Out::Reg(r, ty))
             }
@@ -1115,7 +1133,7 @@ impl TypedCompiler<'_> {
                 }
                 self.next_reduce += 1;
                 let src_ty = (self.objs)(window.obj)?;
-                let src_class = self.obj_class(window.obj, &src_ty);
+                let src_class = self.obj_class(window.obj, &src_ty)?;
                 let (elem_class, elem_ty) = match &window.map {
                     None => (src_class, src_ty),
                     Some((var, mapped)) => {
@@ -1137,12 +1155,12 @@ impl TypedCompiler<'_> {
                     ReduceOp::Count => Class::I,
                     ReduceOp::Mean | ReduceOp::StdDev => Class::F,
                     // Custom reducers run opaque user closures: stay boxed.
-                    ReduceOp::Custom(_) => Class::V,
+                    ReduceOp::Custom(_) => return Err(boxed()),
                     ReduceOp::Min | ReduceOp::Max => elem_class,
                     ReduceOp::Sum | ReduceOp::Product => match elem_class {
                         Class::F => Class::F,
                         Class::I => Class::I,
-                        _ => Class::V,
+                        Class::B => return Err(boxed()),
                     },
                 };
                 let r = self.alloc(class)?;
@@ -1480,8 +1498,10 @@ impl TypedCompiler<'_> {
                 })?;
                 // Mixed classes would box: the taken branch's unpromoted
                 // value is observable.
-                let class = if ra.class == rb.class { ra.class } else { Class::V };
-                (class, ty)
+                if ra.class != rb.class {
+                    return Err(boxed());
+                }
+                (ra.class, ty)
             }
         };
         if !speculatable(&t_code) || !speculatable(&f_code) {
@@ -1527,7 +1547,6 @@ mod tests {
             Class::F => (Value::Float(ctx.get_f(r.idx).0), ctx.get_f(r.idx).1),
             Class::I => (Value::Int(ctx.get_i(r.idx).0), ctx.get_i(r.idx).1),
             Class::B => (Value::Bool(ctx.get_b(r.idx).0), ctx.get_b(r.idx).1),
-            Class::V => unreachable!("typed programs allocate no V register"),
         };
         if null {
             Value::Null
@@ -1632,6 +1651,14 @@ mod tests {
         // interpreter.
         let e = Expr::if_else(Expr::at(obj(0)).gt(Expr::c(0.0)), Expr::c(1i64), Expr::c(2.5));
         assert!(typed(&e, DataType::Float).is_err());
+        let program = compile(&e).unwrap();
+        let interp = |x: f64| {
+            let mut ctx = program.new_ctx();
+            ctx.points[0] = Value::Float(x);
+            program.run(&mut ctx)
+        };
+        assert!(interp(5.0).same(&Value::Int(1)));
+        assert!(interp(-5.0).same(&Value::Float(2.5)));
         let events = points(&[Value::Float(5.0), Value::Float(-5.0)]);
         assert_eq!(kernel_differential(DataType::Float, e, &events), 0);
     }

@@ -104,7 +104,7 @@ impl Kernel {
         te: &TempExpr,
         name: &str,
         types: &TypeInfo,
-        classes: &HashMap<TObjId, Class>,
+        classes: &HashMap<TObjId, Option<Class>>,
     ) -> Result<Kernel> {
         let mut kernel = Kernel::new(te, name)?;
         let objs = type_lookup(types);
@@ -152,8 +152,8 @@ impl Kernel {
 
     /// The register class of this kernel's output values (what downstream
     /// kernels assume when reading its buffer).
-    pub(crate) fn output_class(&self) -> Class {
-        self.typed.as_ref().map_or(Class::V, TypedProgram::output_class)
+    pub(crate) fn output_class(&self) -> Option<Class> {
+        self.typed.as_ref().and_then(TypedProgram::output_class)
     }
 
     /// The objects this kernel reads, in slot order (points then reduces).
@@ -256,7 +256,7 @@ impl Kernel {
             self.fallback.fetch_add(1, Ordering::Relaxed);
         }
         let Some(Drive { g_first, g_last, mut points, mut reduces }) =
-            self.start(bufs, range, out, &[])
+            self.start(bufs, range, out, None)
         else {
             return;
         };
@@ -303,7 +303,7 @@ impl Kernel {
     ) {
         let p = self.precision;
         let Some(Drive { g_first, g_last, mut points, mut reduces }) =
-            self.start(bufs, range, out, &tp.reduce_elem)
+            self.start(bufs, range, out, Some(tp))
         else {
             return;
         };
@@ -366,9 +366,6 @@ impl Kernel {
                                 bc.store_b_lane(reg, k, v);
                                 runner.boundary = b;
                             }
-                            Class::V => {
-                                unreachable!("typed programs allocate no V register")
-                            }
                         },
                         None => {
                             let (_, b) = runner.cursor.value_ref_and_boundary(t);
@@ -428,14 +425,15 @@ impl Kernel {
 
     /// The setup both tiers share: resets `out` and resolves the range's
     /// grid ticks, then opens a cursor per point access and a runner per
-    /// reduce (typed accumulators per `reduce_classes`). `None` when the
-    /// range holds no grid tick; `out` is then complete.
+    /// reduce (typed accumulators and source reads per `typed`, the
+    /// batched body). `None` when the range holds no grid tick; `out` is
+    /// then complete.
     fn start<'b>(
         &'b self,
         bufs: &[Option<&'b SnapshotBuf<Value>>],
         range: TimeRange,
         out: &mut SnapshotBuf<Value>,
-        reduce_classes: &[Option<Class>],
+        typed: Option<&TypedProgram>,
     ) -> Option<Drive<'b>> {
         let p = self.precision;
         out.reset(range.start);
@@ -470,8 +468,14 @@ impl Kernel {
             .iter()
             .enumerate()
             .map(|(i, rs)| {
-                let class = reduce_classes.get(i).copied().flatten();
-                ReduceRunner::with_elem_class(rs, buf_for(rs.obj), class)
+                let Some(tp) = typed else {
+                    return ReduceRunner::new(rs, buf_for(rs.obj));
+                };
+                // A fused map reads the source as its input class; an
+                // unmapped fold reads it as the element class.
+                let elem = tp.reduce_elem[i];
+                let reads = tp.typed_maps[i].as_ref().map_or(elem, |m| Some(m.var.class));
+                ReduceRunner::with_elem_class(rs, buf_for(rs.obj), elem, reads)
             })
             .collect();
         Some(Drive { g_first, g_last, points, reduces })

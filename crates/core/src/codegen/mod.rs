@@ -55,14 +55,13 @@ pub fn lower(query: &Query) -> Result<Vec<Kernel>> {
 /// over this exact query.
 ///
 /// Object register classes thread through the kernel chain: a kernel that
-/// stays on the interpreter produces a `V`-classed object, and a downstream
-/// kernel that reads its values stays interpreted too — so fallback is
+/// stays on the interpreter produces an object with no register class,
+/// and a downstream kernel that reads its values stays interpreted too — so fallback is
 /// per-kernel, never whole-query.
 pub fn lower_typed(query: &Query, types: &TypeInfo) -> Result<Vec<Kernel>> {
-    let mut classes: HashMap<crate::ir::TObjId, compiled::Class> = HashMap::new();
+    let mut classes: HashMap<crate::ir::TObjId, Option<compiled::Class>> = HashMap::new();
     for &input in query.inputs() {
-        let class = types.object_type(input).map_or(compiled::Class::V, compiled::Class::of_type);
-        classes.insert(input, class);
+        classes.insert(input, types.object_type(input).and_then(compiled::Class::of_type));
     }
     let mut kernels = Vec::with_capacity(query.exprs().len());
     for te in query.exprs() {

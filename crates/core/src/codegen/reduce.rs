@@ -659,12 +659,11 @@ pub(crate) struct TypedFold<'m> {
 
 impl TypedFold<'_> {
     /// One span's fold value (`f64` bits or `i64`, per `class`), or `None`
-    /// when it does not fold. φ spans never run the map.
+    /// when it does not fold. Spans that read as φ never run the map.
     #[inline]
     fn lane(&mut self, class: Class, v: &Value) -> Option<u64> {
         match &mut self.map {
             None => unbox(class, v),
-            Some(_) if v.is_null() => None,
             Some((map, ctx)) => match class {
                 Class::F => map.run_f64(ctx, v).map(f64::to_bits),
                 Class::I => map.run_i64(ctx, v).map(|x| x as u64),
@@ -684,11 +683,7 @@ impl TypedFold<'_> {
         vals: &mut [u64],
     ) {
         if self.map.is_none() {
-            let (mut null, mut present) = ([0u64; RUN_WORDS], [0u64; RUN_WORDS]);
-            load_run(run, vals, &mut null, &mut present, |v| unbox(class, v));
-            for ((f, p), n) in folded.iter_mut().zip(present).zip(null) {
-                *f = p & !n;
-            }
+            load_run(run, vals, &mut [0u64; RUN_WORDS], folded, |v| unbox(class, v));
         } else if let (Some((map, ctx)), Some(bc)) = (&mut self.map, &mut self.lanes) {
             ctx.map_runs += bc.map_run(map, ctx.t, run, folded, vals);
         } else {
@@ -727,6 +722,11 @@ pub struct ReduceRunner<'a> {
     /// The statically known element class, when the typed kernel tier
     /// picked an unboxed accumulator.
     class: Option<Class>,
+    /// The class a typed kernel reads source payloads as (`None` on the
+    /// interpreter, which reads every payload but φ): a payload that does
+    /// not read as it ([`Class::reads`]) is φ, so its span neither runs
+    /// the fused map nor folds nor counts as entering content.
+    reads: Option<Class>,
     /// Number of snapshots currently folded in (non-φ, post-map non-φ).
     count: i64,
     /// Index of the next span to *enter* (first span with `start ≥ cur_hi`).
@@ -748,24 +748,27 @@ pub struct ReduceRunner<'a> {
 impl<'a> ReduceRunner<'a> {
     /// Creates a runner for `spec` over `src` with dynamic accumulators.
     pub fn new(spec: &'a ReduceSpec, src: &'a SnapshotBuf<Value>) -> Self {
-        Self::with_elem_class(spec, src, None)
+        Self::with_elem_class(spec, src, None, None)
     }
 
     /// Creates a runner whose accumulator is monomorphized to the window's
     /// element class when that class is unboxed (`F`/`I`) — the typed
-    /// tier's reduce fast path. Typed accumulators replay the dynamic
-    /// operation sequence exactly, so either constructor produces
-    /// bit-identical results on well-typed data.
+    /// tier's reduce fast path — and whose source payloads read as
+    /// `reads`. Typed accumulators replay the dynamic operation sequence
+    /// exactly, so either constructor produces bit-identical results on
+    /// well-typed data.
     pub(crate) fn with_elem_class(
         spec: &'a ReduceSpec,
         src: &'a SnapshotBuf<Value>,
         class: Option<Class>,
+        reads: Option<Class>,
     ) -> Self {
         ReduceRunner {
             spec,
             src,
             state: State::with_class(&spec.op, class),
             class,
+            reads,
             count: 0,
             enter_idx: 0,
             evict_idx: 0,
@@ -790,9 +793,9 @@ impl<'a> ReduceRunner<'a> {
         self.count > 0
     }
 
-    /// The time `t` at which the *next* source span would enter the window,
-    /// or `None` when no further span exists. Used by the kernel to skip
-    /// over φ gaps.
+    /// The time `t` at which the *next* non-φ source span would enter the
+    /// window, or `None` when no further one exists. Used by the kernel to
+    /// skip over φ gaps.
     pub fn next_enter_time(&self) -> Option<Time> {
         let spans = self.src.spans();
         let mut i = self.enter_idx;
@@ -801,7 +804,8 @@ impl<'a> ReduceRunner<'a> {
             if start >= self.cur_hi {
                 // First span not yet entered; skip φ spans (they never
                 // produce content).
-                if !spans[i].value.is_null() {
+                let v = &spans[i].value;
+                if self.reads.map_or(!v.is_null(), |c| c.reads(v)) {
                     return Some(Time::new(start.ticks() - self.spec.hi + 1));
                 }
                 i += 1;
@@ -1242,7 +1246,7 @@ mod tests {
         for op in [ReduceOp::Sum, ReduceOp::Mean, ReduceOp::Product, ReduceOp::StdDev] {
             let s = spec(op.clone(), 5);
             let mut dynr = ReduceRunner::new(&s, &src);
-            let mut typr = ReduceRunner::with_elem_class(&s, &src, Some(Class::F));
+            let mut typr = ReduceRunner::with_elem_class(&s, &src, Some(Class::F), Some(Class::F));
             assert_eq!(typr.fold_class(), Some(Class::F));
             for t in 1..=25 {
                 let d = dynr.eval_at_with(Time::new(t), &mut |v| v.clone());
@@ -1254,7 +1258,7 @@ mod tests {
         // Count folds either class and results in i64.
         let s = spec(ReduceOp::Count, 5);
         let mut dynr = ReduceRunner::new(&s, &src);
-        let mut typr = ReduceRunner::with_elem_class(&s, &src, Some(Class::F));
+        let mut typr = ReduceRunner::with_elem_class(&s, &src, Some(Class::F), Some(Class::F));
         for t in 1..=25 {
             let d = dynr.eval_at_with(Time::new(t), &mut |v| v.clone());
             typr.slide_typed(Time::new(t), unmapped());
@@ -1265,7 +1269,7 @@ mod tests {
         for op in [ReduceOp::Min, ReduceOp::Max] {
             let s = spec(op, 3);
             let mut dynr = ReduceRunner::new(&s, &src);
-            let mut typr = ReduceRunner::with_elem_class(&s, &src, Some(Class::F));
+            let mut typr = ReduceRunner::with_elem_class(&s, &src, Some(Class::F), Some(Class::F));
             for t in 1..=25 {
                 let d = dynr.eval_at_with(Time::new(t), &mut |v| v.clone());
                 typr.slide_typed(Time::new(t), unmapped());
@@ -1283,7 +1287,7 @@ mod tests {
         for op in [ReduceOp::Sum, ReduceOp::Mean, ReduceOp::Min, ReduceOp::Max] {
             let s = spec(op.clone(), 4);
             let mut dynr = ReduceRunner::new(&s, &src);
-            let mut typr = ReduceRunner::with_elem_class(&s, &src, Some(Class::I));
+            let mut typr = ReduceRunner::with_elem_class(&s, &src, Some(Class::I), Some(Class::I));
             assert_eq!(typr.fold_class(), Some(Class::I));
             let res_class = typed_result_class(&s.op, Some(Class::I)).unwrap();
             for t in 1..=20 {

@@ -19,7 +19,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use tilt_core::ir::{CustomReduce, DataType, Expr, Query, QueryBuilder, ReduceOp, TDom, TObjId};
 use tilt_core::{Compiler, ExecTier};
-use tilt_data::{Event, SnapshotBuf, Span, Time, TimeRange, Value};
+use tilt_data::{Event, SnapshotBuf, Time, TimeRange, Value};
 use tilt_runtime::{KeyedEvent, RuntimeConfig};
 
 mod common;
@@ -542,20 +542,6 @@ fn unboxed(ty: &DataType, v: &Value) -> Value {
     }
 }
 
-/// `buf`'s spans with each run of adjacent φ spans merged into one.
-fn phi_merged(buf: &SnapshotBuf<Value>) -> Vec<Span<Value>> {
-    let mut out: Vec<Span<Value>> = Vec::new();
-    for s in buf.spans() {
-        match out.last_mut() {
-            Some(last) if matches!((&last.value, &s.value), (Value::Null, Value::Null)) => {
-                last.t_end = s.t_end
-            }
-            _ => out.push(s.clone()),
-        }
-    }
-    out
-}
-
 /// Deterministic run-edge coverage for column-at-a-time window folds: every
 /// typed window op over `F` and `I`, with and without a fused filtering
 /// map, where each slide enters runs of exactly 1/63/64/65/256/257 spans
@@ -566,8 +552,7 @@ fn phi_merged(buf: &SnapshotBuf<Value>) -> Vec<Span<Value>> {
 /// entered. Wrong-class payloads follow `Value`'s unboxing on the batched
 /// tier and the interpreter's dynamic dispatch otherwise (see
 /// `tilt_core::codegen::compiled`), so the interpreter reads the input
-/// after that unboxing rule ([`unboxed`]), and that shape compares outputs
-/// with adjacent φ spans merged ([`phi_merged`]).
+/// after that unboxing rule ([`unboxed`]).
 #[test]
 fn window_fold_run_edges() {
     let ops = [
@@ -596,7 +581,7 @@ fn window_fold_run_edges() {
                         .collect();
                     let ibuf = SnapshotBuf::from_events(&coerced, range);
                     let present =
-                        buf.spans().iter().filter(|s| !matches!(s.value, Value::Null)).count();
+                        ibuf.spans().iter().filter(|s| !matches!(s.value, Value::Null)).count();
                     for op in &ops {
                         for mapped in [false, true] {
                             let case = format!(
@@ -609,18 +594,7 @@ fn window_fold_run_edges() {
                             let interp = Compiler::interpreted().compile(&q).expect("compiles");
                             let a = batched.run(&[&buf], range);
                             let c = interp.run(&[&ibuf], range);
-                            if shape == Shape::WrongClass {
-                                // A wrong-class span is φ to the fold but not
-                                // to change-point stepping, so the batched
-                                // tier may split a φ stretch where it enters.
-                                assert_eq!(
-                                    phi_merged(&a),
-                                    phi_merged(&c),
-                                    "batched vs interpreted diverged: {case}"
-                                );
-                            } else {
-                                assert_eq!(a, c, "batched vs interpreted diverged: {case}");
-                            }
+                            assert_eq!(a, c, "batched vs interpreted diverged: {case}");
                             let want = if mapped { present as u64 } else { 0 };
                             assert_eq!(batched.map_runs(), want, "batched map runs: {case}");
                         }
